@@ -98,12 +98,20 @@ def j_star(s: int, cg: int) -> int:
     return (b + math.isqrt(a * b)) // (2 * cg)
 
 
+def _lower_bounds(inst: Instance) -> tuple[int, int, int, int | None, int]:
+    """lb1..lb5, with lb4 None where it is not defined (c <= gamma)."""
+    return (lb1(inst), lb2(inst), lb3(inst),
+            lb4(inst) if inst.gamma < inst.c else None, lb5(inst))
+
+
+def _best(pick, values) -> int:
+    """max or min over the applicable (non-None) bounds."""
+    return pick(v for v in values if v is not None)
+
+
 def lb_best(inst: Instance) -> int:
     """Best (largest) applicable lower bound."""
-    best = max(lb1(inst), lb2(inst), lb3(inst), lb5(inst))
-    if inst.gamma < inst.c:
-        best = max(best, lb4(inst))
-    return best
+    return _best(max, _lower_bounds(inst))
 
 
 # (cg, s) pairs whose two-supplier-per-table base schedule needs 3 dinners
@@ -210,12 +218,14 @@ def ub_eucli(inst: Instance) -> int:
     return total
 
 
+def _upper_bounds(inst: Instance) -> tuple[int, int | None, int | None, int]:
+    """ub1, ub1_improved, ub2 and ub_eucli, with inapplicable ones None."""
+    return ub1(inst), ub1_improved(inst), ub2(inst), ub_eucli(inst)
+
+
 def ub_best(inst: Instance) -> int:
-    candidates = [ub1(inst), ub_eucli(inst)]
-    for v in (ub1_improved(inst), ub2(inst)):
-        if v is not None:
-            candidates.append(v)
-    return min(candidates)
+    """Best (smallest) applicable upper bound."""
+    return _best(min, _upper_bounds(inst))
 
 
 @dataclass(frozen=True)
@@ -234,20 +244,12 @@ class BoundsReport:
 
 
 def compute_bounds(inst: Instance) -> BoundsReport:
-    """All lower and upper bounds for an instance, with inapplicable ones None."""
-    return BoundsReport(
-        lb1=lb1(inst),
-        lb2=lb2(inst),
-        lb3=lb3(inst),
-        lb4=lb4(inst) if inst.gamma < inst.c else None,
-        lb5=lb5(inst),
-        lb_best=lb_best(inst),
-        ub1=ub1(inst),
-        ub1_improved=ub1_improved(inst),
-        ub2=ub2(inst),
-        ub_eucli=ub_eucli(inst),
-        ub_best=ub_best(inst),
-    )
+    """All lower and upper bounds for an instance, with inapplicable ones None.
+
+    Each bound is evaluated once; lb_best and ub_best are taken from them.
+    """
+    lbs, ubs = _lower_bounds(inst), _upper_bounds(inst)
+    return BoundsReport(*lbs, _best(max, lbs), *ubs, _best(min, ubs))
 
 
 def lp_value_scan(s: int, sigma: int, cg: int) -> Fraction:

@@ -13,16 +13,8 @@ import json
 import sys
 
 from . import bounds
-from .constructions import (
-    ConstructionError,
-    build_cas_par,
-    build_howell_schedule,
-    build_prime,
-    build_sigma1,
-    build_trivial,
-    dispatch_optimal,
-)
-from .howell import SearchBudgetExceeded
+from .constructions import ConstructionError
+from .howell import DEFAULT_NODE_BUDGET, SearchBudgetExceeded
 from .model import Instance, ScheduleDecodeError, decode_schedule, encode_schedule, validate_schedule
 from .solver import (
     BUDGET_EXHAUSTED,
@@ -31,7 +23,7 @@ from .solver import (
     SolveLimits,
     solve_exact,
 )
-from .transforms import best_feasible, build_eucli, build_ub1, build_ub2
+from .transforms import ROUTES, best_generic, dispatch_optimal
 
 EXIT_OK = 0
 EXIT_SEMANTIC = 1
@@ -97,32 +89,19 @@ def cmd_bounds(args) -> int:
     return EXIT_OK
 
 
-_STRATEGIES = {
-    "trivial": lambda inst: build_trivial(inst),
-    "sigma1": lambda inst: build_sigma1(inst),
-    "howell": lambda inst: build_howell_schedule(inst),
-    "caspar": lambda inst: build_cas_par(inst),
-    "prime": lambda inst: build_prime(inst),
-    "ub1": lambda inst: build_ub1(inst),
-    "ub2": lambda inst: build_ub2(inst),
-    "eucli": lambda inst: build_eucli(inst),
-}
-
-
 def cmd_build(args) -> int:
     inst = _instance(args)
-    proven = False
     try:
         if args.strategy == "auto":
-            hit = dispatch_optimal(inst)
-            if hit is not None:
-                sched, proven = hit
-            else:
-                sched, _ = best_feasible(inst)
+            # Never exits on a Howell budget: the generic routes always build.
+            sched = dispatch_optimal(inst)
+            proven = sched is not None
+            if not proven:
+                sched = best_generic(inst)
         else:
-            sched = _STRATEGIES[args.strategy](inst)
+            sched = ROUTES[args.strategy].build(inst, DEFAULT_NODE_BUDGET)
             hit = dispatch_optimal(inst)
-            proven = hit is not None and hit[0].dinner_count() == sched.dinner_count()
+            proven = hit is not None and hit.dinner_count() == sched.dinner_count()
     except ConstructionError as e:
         print(f"strategy not applicable: {e}", file=sys.stderr)
         return EXIT_PRECONDITION
@@ -130,7 +109,10 @@ def cmd_build(args) -> int:
         print(f"search budget exhausted: {e}", file=sys.stderr)
         return EXIT_BUILD_BUDGET
     report = validate_schedule(sched)
-    assert report.feasible, "constructed schedule failed validation"
+    if not report.feasible:
+        print(f"error: the {args.strategy} strategy built an infeasible schedule "
+              f"({len(report.violations)} violation(s))", file=sys.stderr)
+        return EXIT_SEMANTIC
     text = encode_schedule(sched)
     if args.out and args.out != "-":
         with open(args.out, "w") as fh:
@@ -244,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("build", help="construct a feasible schedule")
     _add_instance_args(p)
-    p.add_argument("--strategy", choices=["auto"] + sorted(_STRATEGIES), default="auto")
+    p.add_argument("--strategy", choices=["auto"] + sorted(ROUTES), default="auto")
     p.add_argument("--out", help="write the schedule JSON to this file ('-' for stdout)")
     p.set_defaults(func=cmd_build)
 

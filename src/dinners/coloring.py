@@ -8,25 +8,7 @@ the color classes as dinners, so class size caps translate into table caps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 Edge = tuple[int, int]
-
-
-@dataclass(frozen=True)
-class EdgeColoring:
-    """A proper equitable coloring of the complete bipartite graph K_{a,b}."""
-
-    a: int
-    b: int
-    k: int
-    colors: dict[Edge, int]
-
-    def classes(self) -> list[list[Edge]]:
-        by_color: list[list[Edge]] = [[] for _ in range(self.k)]
-        for edge in sorted(self.colors):
-            by_color[self.colors[edge]].append(edge)
-        return by_color
 
 
 class _Board:
@@ -174,11 +156,9 @@ def color_bipartite_edges(a: int, b: int, edges: list[Edge], k: int) -> list[lis
     return by_color
 
 
-def equitable_bipartite_coloring(a: int, b: int, k: int) -> EdgeColoring:
+def equitable_bipartite_coloring(a: int, b: int, k: int) -> list[list[Edge]]:
     """Color all of K_{a,b} with exactly k classes; requires k >= max(a, b)."""
     if k < max(a, b):
         raise ValueError(f"K_{{{a},{b}}} needs at least max(a,b)={max(a, b)} colors, got {k}")
     edges = [(i, j) for i in range(1, a + 1) for j in range(1, b + 1)]
-    classes = color_bipartite_edges(a, b, edges, k)
-    colors = {edge: col for col, cls in enumerate(classes) for edge in cls}
-    return EdgeColoring(a=a, b=b, k=k, colors=colors)
+    return color_bipartite_edges(a, b, edges, k)

@@ -90,7 +90,7 @@ def build_trivial(inst: Instance) -> Schedule:
     return Schedule.of(inst, dinners)
 
 
-def _singleton_dinners(
+def singleton_dinners(
     supplier_ids: list[int], grouping_slice: list[frozenset[int]], tables: int, k: int
 ) -> list[Dinner]:
     """Dinners where every table holds one supplier and one customer group.
@@ -123,7 +123,7 @@ def build_sigma1(inst: Instance) -> Schedule:
     grouping = group_customers(inst.c, inst.gamma)
     cg = inst.customer_groups
     k = max(inst.s, cg, bounds.ceil_div(inst.s * cg, inst.t))
-    dinners = _singleton_dinners(list(range(1, inst.s + 1)), list(grouping.groups), inst.t, k)
+    dinners = singleton_dinners(list(range(1, inst.s + 1)), list(grouping.groups), inst.t, k)
     return Schedule.of(inst, dinners)
 
 
@@ -170,7 +170,7 @@ def build_howell_schedule(
     elif (cg, s) == (2, 2):
         # No 2-dinner pairing exists; single-supplier tables reach 2 dinners.
         return Schedule.of(
-            inst, _singleton_dinners([1, 2], list(grouping.groups), inst.t, 2)
+            inst, singleton_dinners([1, 2], list(grouping.groups), inst.t, 2)
         )
     elif cg >= half:
         if s % 2 == 0 and cg <= s - 1:
@@ -237,7 +237,7 @@ def _cas_par_paper_route(inst: Instance, node_budget: int | None) -> Schedule:
             dinners.append(Dinner.of(tables))
     rest = groups[lead:]
     k2 = max(s, len(rest), bounds.ceil_div(s * len(rest), t))
-    dinners.extend(_singleton_dinners(list(range(1, s + 1)), rest, t, k2))
+    dinners.extend(singleton_dinners(list(range(1, s + 1)), rest, t, k2))
     return Schedule.of(inst, dinners)
 
 
@@ -398,38 +398,3 @@ def build_prime(inst: Instance) -> Schedule:
             dinners.append(Dinner.of([TableSeating(sups, frozenset({k}))]))
     return Schedule.of(inst, dinners)
 
-
-def dispatch_optimal(
-    inst: Instance, node_budget: int | None = DEFAULT_NODE_BUDGET
-) -> tuple[Schedule, bool] | None:
-    """Build a provably optimal schedule when a special case covers the instance.
-
-    Returns (schedule, True) for a covered instance, None when no case
-    applies.  The flag is always True on success; it is kept explicit so
-    callers exercise the same contract as the generic pipelines.
-    """
-    if inst.c <= inst.gamma:
-        return build_trivial(inst), True
-    if inst.sigma == 1:
-        return build_sigma1(inst), True
-    if (
-        inst.t == 1
-        and inst.gamma == 1
-        and (p := math.isqrt(inst.s)) >= 2
-        and p * p == inst.s
-        and _is_prime(p)
-        and inst.c <= p <= inst.sigma
-    ):
-        return build_prime(inst), True
-    cg, s = inst.customer_groups, inst.s
-    if inst.sigma == 2:
-        if inst.s * inst.gamma > inst.c and inst.t >= bounds.sigma2_base_tables(cg, s):
-            return build_howell_schedule(inst, node_budget), True
-        if (
-            s >= 2
-            and s not in (5, 6)
-            and inst.t == bounds.ceil_div(s, 2)
-            and 2 * cg >= 3 * s
-        ):
-            return build_cas_par(inst, node_budget), True
-    return None

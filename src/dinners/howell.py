@@ -286,7 +286,8 @@ def search_howell(m: int, n2: int, node_budget: int | None = None) -> HowellDesi
             attempt += 1
 
 
-_CACHE: dict[tuple[int, int], HowellDesign] = {}
+# Per (m, 2n): the design, or the largest node budget a search has run out of.
+_CACHE: dict[tuple[int, int], HowellDesign | int] = {}
 
 
 def generate_howell(m: int, n2: int, node_budget: int | None = DEFAULT_NODE_BUDGET) -> HowellDesign | None:
@@ -294,14 +295,24 @@ def generate_howell(m: int, n2: int, node_budget: int | None = DEFAULT_NODE_BUDG
 
     Existence is decided by the characterization theorem; when a design
     exists it is found by backtracking (raising SearchBudgetExceeded if the
-    node budget runs out first).  Results are cached per (m, 2n).
+    node budget runs out first).  Results are cached per (m, 2n), failures
+    too: the search is deterministic, so a budget no larger than one that
+    already ran out raises at once, and only a larger one searches again.
     """
     if not howell_exists(m, n2):
         return None
     key = (m, n2)
-    if key not in _CACHE:
+    known = _CACHE.get(key)
+    if isinstance(known, HowellDesign):
+        return known
+    if known is not None and node_budget is not None and node_budget <= known:
+        raise SearchBudgetExceeded(f"H({m},{n2}) search already exceeded {known} nodes")
+    try:
         design = search_howell(m, n2, node_budget)
-        if design is None:
-            raise AssertionError(f"H{key} must exist but the search found none")
-        _CACHE[key] = design
-    return _CACHE[key]
+    except SearchBudgetExceeded:
+        _CACHE[key] = node_budget
+        raise
+    if design is None:
+        raise AssertionError(f"H{key} must exist but the search found none")
+    _CACHE[key] = design
+    return design

@@ -3,20 +3,27 @@
 The rewrites turn a feasible schedule for one parameter set into one for
 another (fewer tables, smaller supplier cap, grouped customers, merged
 supplier pools); the pipelines compose them with the special-case builders to
-produce witness schedules matching the closed-form upper bounds.
+produce witness schedules matching the closed-form upper bounds.  ROUTES
+lists every builder, proven or generic; dispatch_optimal, best_feasible and
+the CLI's build strategies all read it.
 """
 
 from __future__ import annotations
 
 import dataclasses
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import bounds
 from .constructions import (
     ConstructionError,
+    build_cas_par,
     build_howell_schedule,
+    build_prime,
     build_sigma1,
-    dispatch_optimal,
+    build_trivial,
+    singleton_dinners,
 )
 from .howell import DEFAULT_NODE_BUDGET, SearchBudgetExceeded
 from .model import (
@@ -205,11 +212,9 @@ def build_ub2(inst: Instance) -> Schedule:
                 dinners.append(Dinner.of(tables))
     rest = groups[t_blocks:]
     if rest:
-        from .constructions import _singleton_dinners
-
         k2 = sigma * max(t_blocks, cg - t_blocks)
         dinners.extend(
-            _singleton_dinners(list(range(1, inst.s + 1)), rest, t_blocks, k2)
+            singleton_dinners(list(range(1, inst.s + 1)), rest, t_blocks, k2)
         )
     staged = Schedule.of(dataclasses.replace(inst, t=t_blocks), dinners)
     return split_tables(staged, inst.t)
@@ -229,24 +234,71 @@ def build_eucli(inst: Instance) -> Schedule:
     return combined
 
 
+class Route(NamedTuple):
+    """One way to build a schedule.  ``build(inst, node_budget)`` raises
+    ConstructionError when the instance fails the route's preconditions.
+    ``proven`` marks the routes of the paper's optimal cases: the first of
+    them in table order that builds is optimal, a later one need not be
+    (prime accepts some c <= gamma, where trivial does better).  A ``total``
+    route builds every instance, so a ConstructionError from it is a fault
+    and propagates."""
+
+    build: Callable[[Instance, int | None], Schedule]
+    proven: bool
+    total: bool = False
+
+
+# Proven routes first, in dispatch order, then the generic pipelines in
+# tie-break order.  Entries look builders up by module-level name at call
+# time, so replacing a module attribute (to trace or stub it) reaches them.
+ROUTES: dict[str, Route] = {
+    "trivial": Route(lambda inst, b: build_trivial(inst), True),
+    "sigma1": Route(lambda inst, b: build_sigma1(inst), True),
+    "prime": Route(lambda inst, b: build_prime(inst), True),
+    "howell": Route(lambda inst, b: build_howell_schedule(inst, b), True),
+    "caspar": Route(lambda inst, b: build_cas_par(inst, b), True),
+    "ub2": Route(lambda inst, b: build_ub2(inst), False),
+    "ub1": Route(lambda inst, b: build_ub1(inst, b), False, total=True),
+    "eucli": Route(lambda inst, b: build_eucli(inst), False, total=True),
+}
+
+
+def _built(proven: bool, inst: Instance, node_budget: int | None) -> Iterator[Schedule]:
+    """Schedules of the routes with the given flag that build, in table order;
+    a route whose preconditions fail or whose Howell search runs out is skipped."""
+    for route in ROUTES.values():
+        if route.proven != proven:
+            continue
+        try:
+            sched = route.build(inst, node_budget)
+        except ConstructionError:
+            if route.total:
+                raise
+            continue
+        except SearchBudgetExceeded:
+            continue
+        yield sched
+
+
+def dispatch_optimal(
+    inst: Instance, node_budget: int | None = DEFAULT_NODE_BUDGET
+) -> Schedule | None:
+    """The schedule of the first proven route that builds, or None."""
+    return next(_built(True, inst, node_budget), None)
+
+
+def best_generic(inst: Instance, node_budget: int | None = DEFAULT_NODE_BUDGET) -> Schedule:
+    """Fewest-dinner schedule among the generic routes; ties go to the earlier
+    route.  The total routes always build."""
+    return min(_built(False, inst, node_budget), key=Schedule.dinner_count)
+
+
 def best_feasible(
     inst: Instance, node_budget: int | None = DEFAULT_NODE_BUDGET
 ) -> tuple[Schedule, int]:
-    """Fewest-dinner schedule among the optimal-case dispatch and the generic
-    pipelines; ties break toward the earlier route (optimal, ub2, ub1, eucli)."""
-    candidates: list[Schedule] = []
-    try:
-        hit = dispatch_optimal(inst, node_budget)
-        if hit is not None:
-            candidates.append(hit[0])
-    except SearchBudgetExceeded:
-        pass
-    if bounds.ub2(inst) is not None:
-        candidates.append(build_ub2(inst))
-    try:
-        candidates.append(build_ub1(inst, node_budget))
-    except SearchBudgetExceeded:
-        pass
-    candidates.append(build_eucli(inst))
-    best = min(candidates, key=lambda sched: sched.dinner_count())
-    return best, best.dinner_count()
+    """A proven-optimal schedule when a proven route builds, otherwise the
+    best generic one; returns the schedule and its dinner count."""
+    sched = dispatch_optimal(inst, node_budget)
+    if sched is None:
+        sched = best_generic(inst, node_budget)
+    return sched, sched.dinner_count()

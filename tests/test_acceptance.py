@@ -27,7 +27,6 @@ from dinners.constructions import (
     build_howell_schedule,
     build_prime,
     build_sigma1,
-    dispatch_optimal,
     exceptional_schedule,
     load_example_schedule,
 )
@@ -46,6 +45,7 @@ from dinners.solver import INFEASIBLE_AT_BOUND, OPTIMAL, SolveLimits, solve_exac
 from dinners.transforms import (
     best_feasible,
     concat_suppliers,
+    dispatch_optimal,
     group_gamma,
     split_sigma,
     split_tables,
@@ -90,8 +90,8 @@ def test_criterion_03_example_instance_end_to_end():
     assert validate_schedule(fixture).feasible
     assert fixture.dinner_count() == 6
     assert lb_best(inst) == 3
-    built, proven = dispatch_optimal(inst)
-    assert proven and built.dinner_count() == 3
+    built = dispatch_optimal(inst)
+    assert built.dinner_count() == 3
     assert validate_schedule(built).feasible
     res = solve_exact(inst, SolveLimits(node_budget=2_000_000))
     assert res.status == OPTIMAL and res.value == 3
@@ -209,7 +209,7 @@ def test_criterion_09_oracle_sweep():
         assert res.value <= ub_best(inst), (inst, res.value)
         hit = dispatch_optimal(inst)
         if hit is not None:
-            assert hit[0].dinner_count() == res.value, (inst, hit[0].dinner_count(), res.value)
+            assert hit.dinner_count() == res.value, (inst, hit.dinner_count(), res.value)
     resolved = total - len(unresolved)
     for cell in unresolved:
         print(f"\n  budget-exhausted cell: {cell}")
@@ -293,8 +293,7 @@ def test_criterion_11_property_suites():
     for a in range(1, 9):
         for b in range(1, 9):
             for k in range(max(a, b), 21):
-                col = equitable_bipartite_coloring(a, b, k)
-                classes = col.classes()
+                classes = equitable_bipartite_coloring(a, b, k)
                 assert sorted(e for cls in classes for e in cls) == [
                     (i, j) for i in range(1, a + 1) for j in range(1, b + 1)
                 ]

@@ -206,3 +206,15 @@ def test_compute_bounds_report():
     assert lb_best(Instance(1, 8, 11, 2, 1)) == 60
     assert lb_best(Instance(2, 5, 6, 2, 3)) == 3
     assert ub_best(Instance(2, 5, 6, 2, 3)) == 3
+
+
+def test_compute_bounds_evaluates_lb5_once(monkeypatch):
+    import dinners.bounds as bounds
+
+    calls = []
+    real = bounds.lb5
+    monkeypatch.setattr(bounds, "lb5", lambda inst: calls.append(inst) or real(inst))
+    inst = Instance(3, 40, 70, 9, 2)
+    rep = compute_bounds(inst)
+    assert len(calls) == 1
+    assert (rep.lb_best, rep.ub_best) == (lb_best(inst), ub_best(inst))

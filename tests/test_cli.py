@@ -140,3 +140,43 @@ def test_default_budget_env(monkeypatch):
         default_node_budget()
     monkeypatch.delenv("DINNER_NODE_BUDGET")
     assert default_node_budget() == 2_000_000
+
+
+def test_build_auto_falls_back_when_howell_budget_runs_out(monkeypatch, capsys):
+    import dinners.howell as howell
+
+    def exhausted(m, n2, node_budget=None):
+        raise howell.SearchBudgetExceeded(f"H({m},{n2}) search exceeded {node_budget} nodes")
+
+    monkeypatch.setattr(howell, "_CACHE", {})
+    monkeypatch.setattr(howell, "search_howell", exhausted)
+    code, out, _ = run(capsys, "build", "6", "16", "10", "2", "2", "--out", "-")
+    assert code == 0
+    assert "optimal=unknown" in out
+    sched = decode_schedule(out[: out.index("\ndinners=") + 1])
+    assert validate_schedule(sched).feasible
+    # An explicit strategy still reports the exhausted budget.
+    code, _, err = run(capsys, "build", "6", "16", "10", "2", "2", "--strategy", "howell")
+    assert code == 4 and "budget" in err
+
+
+def test_build_rejects_an_infeasible_schedule(monkeypatch, capsys):
+    import dinners.transforms as transforms
+    from dinners.model import Schedule
+
+    real = transforms.build_trivial
+    monkeypatch.setattr(transforms, "build_trivial",
+                        lambda inst: Schedule.of(inst, real(inst).dinners[:-1]))
+    code, out, err = run(capsys, "build", "1", "3", "2", "2", "3", "--strategy", "trivial")
+    assert code == 1
+    assert "infeasible" in err and "dinners=" not in out
+
+
+def test_build_explicit_proven_route_compares_with_dispatch(capsys):
+    # prime builds 2 dinners for c = 1, but trivial (c <= gamma) needs 1.
+    code, out, _ = run(capsys, "build", "1", "4", "1", "4", "1", "--strategy", "prime")
+    assert code == 0
+    assert "dinners=2 optimal=unknown" in out
+    code, out, _ = run(capsys, "build", "1", "4", "1", "4", "1", "--strategy", "trivial")
+    assert code == 0
+    assert "dinners=1 optimal=yes" in out

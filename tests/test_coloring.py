@@ -28,20 +28,20 @@ def complete(a, b):
 
 def test_square_with_minimum_colors():
     col = equitable_bipartite_coloring(3, 3, 3)
-    check_proper_equitable(3, 3, 3, col.classes(), complete(3, 3))
-    assert all(len(cls) == 3 for cls in col.classes())
+    check_proper_equitable(3, 3, 3, col, complete(3, 3))
+    assert all(len(cls) == 3 for cls in col)
 
 
 def test_square_with_extra_colors():
     col = equitable_bipartite_coloring(3, 3, 5)
-    check_proper_equitable(3, 3, 5, col.classes(), complete(3, 3))
-    assert sorted(len(cls) for cls in col.classes()) == [1, 2, 2, 2, 2]
+    check_proper_equitable(3, 3, 5, col, complete(3, 3))
+    assert sorted(len(cls) for cls in col) == [1, 2, 2, 2, 2]
 
 
 def test_rectangle():
     col = equitable_bipartite_coloring(2, 4, 4)
-    check_proper_equitable(2, 4, 4, col.classes(), complete(2, 4))
-    assert all(len(cls) == 2 for cls in col.classes())
+    check_proper_equitable(2, 4, 4, col, complete(2, 4))
+    assert all(len(cls) == 2 for cls in col)
 
 
 def test_rejects_too_few_colors():
@@ -54,7 +54,7 @@ def test_complete_sweep():
         for b in range(1, 9):
             for k in range(max(a, b), 21):
                 col = equitable_bipartite_coloring(a, b, k)
-                check_proper_equitable(a, b, k, col.classes(), complete(a, b))
+                check_proper_equitable(a, b, k, col, complete(a, b))
 
 
 def test_sparse_graphs_random():

@@ -11,10 +11,10 @@ from dinners.constructions import (
     build_sigma1,
     build_trivial,
     cas_par_dinner_count,
-    dispatch_optimal,
     exceptional_schedule,
 )
 from dinners.model import Instance, validate_schedule
+from dinners.transforms import dispatch_optimal
 
 
 def feasible(sched) -> bool:
@@ -210,13 +210,10 @@ def test_prime_rejections():
 
 
 def test_dispatch_examples():
-    sched, proven = dispatch_optimal(Instance(1, 4, 2, 4, 3))
-    assert proven and sched.dinner_count() == 1
-    sched, proven = dispatch_optimal(Instance(2, 5, 6, 2, 3))
-    assert proven and sched.dinner_count() == 3
+    assert dispatch_optimal(Instance(1, 4, 2, 4, 3)).dinner_count() == 1
+    assert dispatch_optimal(Instance(2, 5, 6, 2, 3)).dinner_count() == 3
     # c <= gamma always falls to the one-table route, even with sigma >= 3
-    sched, proven = dispatch_optimal(Instance(7, 9, 4, 3, 5))
-    assert proven and sched.dinner_count() == 3
+    assert dispatch_optimal(Instance(7, 9, 4, 3, 5)).dinner_count() == 3
     # sigma >= 3 with many customers: no special case covers it
     assert dispatch_optimal(Instance(7, 9, 14, 3, 2)) is None
 
@@ -229,11 +226,9 @@ def test_dispatch_output_always_validates():
         range(1, 5), range(1, 9), range(1, 9), range(1, 4), range(1, 4)
     ):
         inst = Instance(t, s, c, sg, gm)
-        got = dispatch_optimal(inst)
-        if got is None:
+        sched = dispatch_optimal(inst)
+        if sched is None:
             continue
-        sched, proven = got
-        assert proven
         assert feasible(sched), inst
         assert sched.dinner_count() >= lb_best(inst), inst
         hits += 1

@@ -77,3 +77,18 @@ def test_validate_howell_catches_broken_arrays():
     cells[r][k] = (1, 99)
     broken = HowellDesign(3, 6, tuple(tuple(row) for row in cells))
     assert any("invalid pair" in p for p in validate_howell(broken))
+
+
+def test_failed_search_is_cached_per_budget(monkeypatch):
+    import dinners.howell as howell
+
+    calls = []
+    monkeypatch.setattr(howell, "_CACHE", {})
+    monkeypatch.setattr(howell, "search_howell",
+                        lambda m, n2, budget: calls.append(budget) or search_howell(m, n2, budget))
+    for budget in (200, 100, 200, 400):
+        with pytest.raises(SearchBudgetExceeded):
+            generate_howell(9, 10, budget)
+    assert calls == [200, 400]  # budgets no larger than a failed one raise at once
+    design = generate_howell(9, 10, None)
+    assert validate_howell(design) == [] and generate_howell(9, 10, 1) is design

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from dinners.bounds import compute_bounds, lb_best, ub1, ub2, ub_eucli
-from dinners.constructions import load_example_schedule
+from dinners.constructions import build_sigma1, load_example_schedule
 from dinners.model import Dinner, Instance, Schedule, TableSeating, validate_schedule
 from dinners.transforms import (
     best_feasible,
@@ -211,3 +211,43 @@ def test_transforms_preserve_feasibility_randomized():
         shifted = concat_suppliers(sched, sched)
         assert feasible(shifted), inst
         checked += 1
+
+
+def _count_searches(monkeypatch) -> list:
+    import dinners.howell as howell
+
+    calls = []
+    real = howell.search_howell
+    monkeypatch.setattr(howell, "_CACHE", {})
+    monkeypatch.setattr(howell, "search_howell",
+                        lambda m, n2, budget: calls.append((m, n2)) or real(m, n2, budget))
+    return calls
+
+
+def test_best_feasible_searches_a_failed_shape_once(monkeypatch):
+    # sigma = 2: the howell route and the ub1 base both need H(15,30).
+    calls = _count_searches(monkeypatch)
+    sched, count = best_feasible(Instance(9, 30, 22, 2, 3), node_budget=1000)
+    assert calls == [(15, 30)]
+    assert feasible(sched) and count == sched.dinner_count()
+
+
+def test_best_feasible_stops_at_a_proven_route(monkeypatch):
+    # sigma = 1 is proven optimal, so the ub1 route's H(7,12) base is never searched.
+    calls = _count_searches(monkeypatch)
+    sched, count = best_feasible(Instance(4, 12, 20, 1, 3), node_budget=1000)
+    assert calls == []
+    assert feasible(sched) and count == build_sigma1(Instance(4, 12, 20, 1, 3)).dinner_count()
+
+
+def test_best_feasible_propagates_a_fault_in_a_total_route(monkeypatch):
+    import dinners.transforms as transforms
+    from dinners.constructions import ConstructionError
+
+    def broken(inst, node_budget=None):
+        raise ConstructionError("internal fault")
+
+    monkeypatch.setattr(transforms, "build_ub1", broken)
+    # c > gamma and sigma = 3: no proven route applies, so the generic ones run.
+    with pytest.raises(ConstructionError, match="internal fault"):
+        best_feasible(Instance(2, 7, 5, 3, 1))
