@@ -67,16 +67,31 @@ def lb5_term(inst: Instance, j: int) -> int:
     return math.ceil(value)
 
 
+def lb5_argmax(inst: Instance) -> int:
+    """A j in 2..sigma where lb5_term is largest (the smaller one on a tie).
+
+    Before the ceiling the term is unimodal in j with its real maximum in
+    [j_star, j_star + 1) (see j_star; for s = 1 it falls with j), and the
+    ceiling keeps the argmax, so clamping j_star and j_star + 1 into
+    [2, sigma] leaves at most two candidates.  Requires sigma >= 2.
+    """
+    if inst.sigma < 2:
+        raise ValueError("lb5_argmax requires sigma >= 2")
+    js = j_star(inst.s, inst.customer_groups) if inst.s >= 2 else 1
+    cands = sorted({min(max(j, 2), inst.sigma) for j in (js, js + 1)})
+    return max(cands, key=lambda j: lb5_term(inst, j))
+
+
 def lb5(inst: Instance) -> int:
     """LP-duality bound: max over j in 2..sigma of lb5_term, clamped at 0.
 
+    Evaluates the term at lb5_argmax only, so it costs O(1) in sigma.
     Returns 0 when sigma == 1 (empty range) or when every term is negative;
     a dinner count cannot be negative, so clamping keeps the bound sound.
     """
     if inst.sigma < 2:
         return 0
-    best = max(lb5_term(inst, j) for j in range(2, inst.sigma + 1))
-    return max(best, 0)
+    return max(lb5_term(inst, lb5_argmax(inst)), 0)
 
 
 def j_star(s: int, cg: int) -> int:

@@ -21,6 +21,7 @@ from .solver import (
     INFEASIBLE_AT_BOUND,
     OPTIMAL,
     SolveLimits,
+    default_node_budget,
     solve_exact,
 )
 from .transforms import ROUTES, best_generic, dispatch_optimal
@@ -81,8 +82,7 @@ def cmd_bounds(args) -> int:
           f"lb4={rep.lb4 if rep.lb4 is not None else na} lb5={rep.lb5}")
     if inst.sigma >= 2:
         js = bounds.j_star(max(inst.s, 2), inst.customer_groups)
-        argj = max(range(2, inst.sigma + 1), key=lambda j: bounds.lb5_term(inst, j))
-        print(f"lb5 attained at j={argj} (maximizer hint j*={js})")
+        print(f"lb5 attained at j={bounds.lb5_argmax(inst)} (maximizer hint j*={js})")
     print(f"ub1={rep.ub1} ub1_improved={rep.ub1_improved if rep.ub1_improved is not None else na} "
           f"ub2={rep.ub2 if rep.ub2 is not None else na} ub_eucli={rep.ub_eucli}")
     print(f"lb_best={rep.lb_best} ub_best={rep.ub_best}")
@@ -148,9 +148,14 @@ def cmd_validate(args) -> int:
 
 def cmd_solve(args) -> int:
     inst = _instance(args)
+    try:
+        node_budget = args.budget if args.budget is not None else default_node_budget()
+    except ValueError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_PARSE
     limits = SolveLimits(
         max_dinners=args.max_dinners,
-        node_budget=args.budget,
+        node_budget=node_budget,
         time_budget=args.timeout,
     )
     result = solve_exact(inst, limits)
@@ -204,6 +209,17 @@ def cmd_reference_tables(args) -> int:
     return EXIT_OK if not failures else EXIT_SEMANTIC
 
 
+def _positive(kind):
+    """argparse type: parse with kind and reject values that are not > 0."""
+    def parse(text: str):
+        value = kind(text)
+        if not value > 0:
+            raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+        return value
+    parse.__name__ = kind.__name__
+    return parse
+
+
 def _add_instance_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("t", type=int, help="number of tables")
     p.add_argument("s", type=int, help="number of suppliers")
@@ -236,8 +252,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="exact minimum dinner count")
     _add_instance_args(p)
-    p.add_argument("--budget", type=int, default=None, help="search node budget")
-    p.add_argument("--timeout", type=float, default=None, help="time budget in seconds")
+    p.add_argument("--budget", type=_positive(int), default=None, help="search node budget")
+    p.add_argument("--timeout", type=_positive(float), default=None, help="time budget in seconds")
     p.add_argument("--max-dinners", type=int, default=None, help="largest dinner count to try")
     p.add_argument("--out", help="write the witness schedule to this file ('-' for stdout)")
     p.set_defaults(func=cmd_solve)

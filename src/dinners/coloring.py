@@ -4,6 +4,8 @@ A proper edge coloring never repeats a color at a vertex; an equitable one
 has every color class of size floor(|E|/k) or ceil(|E|/k).  For bipartite
 graphs any k >= max degree admits such a coloring; the schedule builders use
 the color classes as dinners, so class size caps translate into table caps.
+Complete bipartite graphs, the common case, are colored by a closed form;
+other edge sets by alternating-path insertion and rebalancing.
 """
 
 from __future__ import annotations
@@ -133,21 +135,47 @@ def _rebalance(board: _Board, colors: dict[Edge, int], a: int, b: int) -> None:
             raise AssertionError("rebalancing invariant broken")
 
 
+def _color_complete(a: int, b: int, k: int) -> list[list[Edge]]:
+    """Closed-form coloring of all of K_{a,b}: edge (i, j) gets color
+    ((i-1)*k//a + j-1) % k.
+
+    Left vertex i takes b <= k consecutive residues from its offset, and the
+    offsets (i-1)*k//a are distinct in [0, k) since k >= a, so the coloring is
+    proper.  Color x goes to the i whose offset lies in the b residues ending
+    at x; extending the offsets with period a (shifted by k) turns these into
+    the integers i-1 of one real interval of length ab/k, so every class has
+    floor(ab/k) or ceil(ab/k) edges.
+    """
+    if k < max(a, b):
+        raise ValueError(f"K_{{{a},{b}}} needs at least max(a,b)={max(a, b)} colors, got {k}")
+    by_color: list[list[Edge]] = [[] for _ in range(k)]
+    for i in range(1, a + 1):
+        offset = (i - 1) * k // a - 1
+        for j in range(1, b + 1):
+            by_color[(offset + j) % k].append((i, j))
+    return by_color
+
+
 def color_bipartite_edges(a: int, b: int, edges: list[Edge], k: int) -> list[list[Edge]]:
     """Properly and equitably color the given bipartite edges with k classes.
 
     Left ids are 1..a, right ids 1..b; requires k >= max degree.  Returns the
-    color classes (possibly empty ones when k > |E|).
+    color classes (possibly empty ones when k > |E|), each in ascending edge
+    order.  All of K_{a,b} is colored in closed form; any other edge set by
+    alternating-path insertion and rebalancing.
     """
     if k < 1:
         raise ValueError("need at least one color")
     if len(set(edges)) != len(edges):
         raise ValueError("duplicate edges are not supported")
+    for i, j in edges:
+        if not 1 <= i <= a or not 1 <= j <= b:
+            raise ValueError(f"edge ({i},{j}) out of range")
+    if edges and len(edges) == a * b:
+        return _color_complete(a, b, k)
     board = _Board(a, b, k)
     colors: dict[Edge, int] = {}
     for i, j in sorted(edges):
-        if not 1 <= i <= a or not 1 <= j <= b:
-            raise ValueError(f"edge ({i},{j}) out of range")
         _insert(board, colors, i, j)
     _rebalance(board, colors, a, b)
     by_color: list[list[Edge]] = [[] for _ in range(k)]
@@ -158,7 +186,5 @@ def color_bipartite_edges(a: int, b: int, edges: list[Edge], k: int) -> list[lis
 
 def equitable_bipartite_coloring(a: int, b: int, k: int) -> list[list[Edge]]:
     """Color all of K_{a,b} with exactly k classes; requires k >= max(a, b)."""
-    if k < max(a, b):
-        raise ValueError(f"K_{{{a},{b}}} needs at least max(a,b)={max(a, b)} colors, got {k}")
     edges = [(i, j) for i in range(1, a + 1) for j in range(1, b + 1)]
     return color_bipartite_edges(a, b, edges, k)

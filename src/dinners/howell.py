@@ -1,9 +1,12 @@
-"""Generation of Howell designs H(m, 2n) by backtracking.
+"""Generation of Howell designs H(m, 2n).
 
 An H(m, 2n) is an m x m array where every cell is empty or holds an unordered
 pair of symbols from 1..2n, every symbol occurs exactly once in each row and
 each column, and every unordered pair occurs at most once.  Such a design
 exists iff n <= m <= 2n-1 and (m, 2n) is not one of four small exceptions.
+
+H(n, 2n) with n odd or divisible by 4 is built in closed form from two
+orthogonal Latin squares; every other shape is found by backtracking.
 """
 
 from __future__ import annotations
@@ -252,6 +255,44 @@ class _Search:
         return False
 
 
+def latin_howell(n: int) -> HowellDesign | None:
+    """H(n, 2n) in closed form, or None when n = 2 mod 4.
+
+    Cell (i, j) holds {L1(i,j)+1, n+L2(i,j)+1} for orthogonal Latin squares
+    L1, L2: each symbol then occurs once per row and column, and
+    orthogonality makes every pair {x, n+y} occur exactly once.
+
+    Write n = 2^a * q with q odd.  Over Z_q the squares are i+j and i+2j.
+    Over R = GF(2)[X]/(X^a + X + 1), with elements as a-bit masks, they are
+    x+y and x+X*y: X and X+1 are units of R because the modulus is 1 at 0
+    and at 1, which is all that rows, columns and orthogonality need.  The
+    two pairs combine by MacNeish's direct product, entry (u*q + v, ...) =
+    R-entry * q + Z_q-entry; for odd n (a = 0) R is trivial.  For a = 1,
+    X+1 is a zero divisor, and no construction is given.
+    """
+    a = (n & -n).bit_length() - 1
+    if a == 1:
+        return None
+    q, size = n >> a, 1 << a
+    modulus = size | 0b11
+
+    def times_x(y: int) -> int:
+        y <<= 1
+        return y ^ modulus if y & size else y
+
+    cells = []
+    for i in range(n):
+        ui, vi = divmod(i, q)
+        row = []
+        for j in range(n):
+            uj, vj = divmod(j, q)
+            first = (ui ^ uj) * q + (vi + vj) % q
+            second = (ui ^ times_x(uj)) * q + (vi + 2 * vj) % q
+            row.append((first + 1, n + second + 1))
+        cells.append(tuple(row))
+    return HowellDesign(n, 2 * n, tuple(cells))
+
+
 def search_howell(m: int, n2: int, node_budget: int | None = None) -> HowellDesign | None:
     """Backtracking search, without consulting the existence theorem.
 
@@ -293,11 +334,12 @@ _CACHE: dict[tuple[int, int], HowellDesign | int] = {}
 def generate_howell(m: int, n2: int, node_budget: int | None = DEFAULT_NODE_BUDGET) -> HowellDesign | None:
     """Return an H(m, 2n), or None when no such design exists.
 
-    Existence is decided by the characterization theorem; when a design
-    exists it is found by backtracking (raising SearchBudgetExceeded if the
-    node budget runs out first).  Results are cached per (m, 2n), failures
-    too: the search is deterministic, so a budget no larger than one that
-    already ran out raises at once, and only a larger one searches again.
+    Existence is decided by the characterization theorem.  An H(n, 2n) with
+    n odd or divisible by 4 is built in closed form (latin_howell); any
+    other design is found by backtracking, raising SearchBudgetExceeded if
+    the node budget runs out first.  Results are cached per (m, 2n), search
+    failures too: the search is deterministic, so a budget no larger than one
+    that already ran out raises at once, and only a larger one searches again.
     """
     if not howell_exists(m, n2):
         return None
@@ -305,6 +347,10 @@ def generate_howell(m: int, n2: int, node_budget: int | None = DEFAULT_NODE_BUDG
     known = _CACHE.get(key)
     if isinstance(known, HowellDesign):
         return known
+    design = latin_howell(m) if 2 * m == n2 else None
+    if design is not None:
+        _CACHE[key] = design
+        return design
     if known is not None and node_budget is not None and node_budget <= known:
         raise SearchBudgetExceeded(f"H({m},{n2}) search already exceeded {known} nodes")
     try:

@@ -36,9 +36,12 @@ def default_node_budget() -> int:
     raw = os.environ.get(ENV_NODE_BUDGET)
     if raw is None:
         return DEFAULT_SOLVE_NODE_BUDGET
-    value = int(raw)
+    try:
+        value = int(raw)
+    except ValueError:
+        value = 0  # reported below, like any other value that is not positive
     if value < 1:
-        raise ValueError(f"{ENV_NODE_BUDGET} must be positive")
+        raise ValueError(f"{ENV_NODE_BUDGET} must be a positive integer, got {raw!r}")
     return value
 
 

@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from dinners.bounds import (
     ceil_div,
@@ -14,6 +16,7 @@ from dinners.bounds import (
     lb3,
     lb4,
     lb5,
+    lb5_argmax,
     lb5_term,
     lb_best,
     lp_value_scan,
@@ -218,3 +221,31 @@ def test_compute_bounds_evaluates_lb5_once(monkeypatch):
     rep = compute_bounds(inst)
     assert len(calls) == 1
     assert (rep.lb_best, rep.ub_best) == (lb_best(inst), ub_best(inst))
+
+
+@given(
+    t=st.integers(1, 6),
+    s=st.integers(1, 400),
+    c=st.integers(1, 400),
+    sigma=st.integers(1, 120),
+    gamma=st.integers(1, 8),
+)
+def test_lb5_matches_the_full_scan(t, s, c, sigma, gamma):
+    inst = Instance(t, s, c, sigma, gamma)
+    terms = [lb5_term(inst, j) for j in range(2, sigma + 1)]
+    assert lb5(inst) == max(terms + [0])
+    if sigma >= 2:
+        assert lb5_term(inst, lb5_argmax(inst)) == max(terms)
+
+
+def test_lb5_is_constant_time_in_sigma(monkeypatch):
+    import dinners.bounds as bounds
+
+    calls = []
+    real = bounds.lb5_term
+    monkeypatch.setattr(bounds, "lb5_term", lambda inst, j: calls.append(j) or real(inst, j))
+    compute_bounds(Instance(1, 10**6, 10**6, 10**6, 3))
+    assert len(calls) <= 3
+    calls.clear()
+    assert lb5(Instance(2, 1, 9, 10**6, 1)) == 5  # s = 1: the term falls with j, peaks at j = 2
+    assert set(calls) == {2}

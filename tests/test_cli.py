@@ -150,13 +150,14 @@ def test_build_auto_falls_back_when_howell_budget_runs_out(monkeypatch, capsys):
 
     monkeypatch.setattr(howell, "_CACHE", {})
     monkeypatch.setattr(howell, "search_howell", exhausted)
-    code, out, _ = run(capsys, "build", "6", "16", "10", "2", "2", "--out", "-")
+    # The howell route needs H(6,12), which has no closed form (6 = 2 mod 4).
+    code, out, _ = run(capsys, "build", "6", "12", "10", "2", "2", "--out", "-")
     assert code == 0
     assert "optimal=unknown" in out
     sched = decode_schedule(out[: out.index("\ndinners=") + 1])
     assert validate_schedule(sched).feasible
     # An explicit strategy still reports the exhausted budget.
-    code, _, err = run(capsys, "build", "6", "16", "10", "2", "2", "--strategy", "howell")
+    code, _, err = run(capsys, "build", "6", "12", "10", "2", "2", "--strategy", "howell")
     assert code == 4 and "budget" in err
 
 
@@ -180,3 +181,27 @@ def test_build_explicit_proven_route_compares_with_dispatch(capsys):
     code, out, _ = run(capsys, "build", "1", "4", "1", "4", "1", "--strategy", "trivial")
     assert code == 0
     assert "dinners=1 optimal=yes" in out
+
+
+def test_solve_rejects_non_positive_budgets(capsys):
+    for flag, value in [("--budget", "0"), ("--budget", "-5"), ("--timeout", "0"),
+                        ("--timeout", "-1.5"), ("--timeout", "nan")]:
+        code, _, err = run(capsys, "solve", "1", "2", "2", "1", "1", flag, value)
+        assert code == 2, (flag, value)
+        assert "must be positive" in err
+
+
+def test_solve_rejects_a_non_integer_env_budget(monkeypatch, capsys):
+    monkeypatch.setenv("DINNER_NODE_BUDGET", "lots")
+    code, out, err = run(capsys, "solve", "1", "2", "2", "1", "1")
+    assert code == 2 and out == ""
+    assert "DINNER_NODE_BUDGET must be a positive integer" in err
+    # An explicit --budget does not read the variable.
+    code, out, _ = run(capsys, "solve", "1", "2", "2", "1", "1", "--budget", "100")
+    assert code == 0 and "status=Optimal value=4" in out
+
+
+def test_bounds_human_reports_the_lb5_argmax_at_huge_sigma(capsys):
+    code, out, _ = run(capsys, "bounds", "1", "1000000", "1000000", "1000000", "3")
+    assert code == 0
+    assert "lb5 attained at j=4 (maximizer hint j*=4)" in out

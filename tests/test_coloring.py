@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from dinners.coloring import color_bipartite_edges, equitable_bipartite_coloring
 
@@ -79,3 +81,13 @@ def test_deterministic():
     a = equitable_bipartite_coloring(5, 7, 9)
     b = equitable_bipartite_coloring(5, 7, 9)
     assert a == b
+
+
+@given(a=st.integers(1, 40), b=st.integers(1, 40), extra=st.integers(0, 60))
+def test_complete_graph_closed_form(a, b, extra):
+    k = max(a, b) + extra
+    classes = color_bipartite_edges(a, b, complete(a, b), k)
+    check_proper_equitable(a, b, k, classes, complete(a, b))
+    assert all(cls == sorted(cls) for cls in classes)
+    with pytest.raises(ValueError):
+        color_bipartite_edges(a, b, complete(a, b), max(a, b) - 1)

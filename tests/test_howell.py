@@ -7,6 +7,7 @@ from dinners.howell import (
     SearchBudgetExceeded,
     generate_howell,
     howell_exists,
+    latin_howell,
     search_howell,
     validate_howell,
 )
@@ -92,3 +93,38 @@ def test_failed_search_is_cached_per_budget(monkeypatch):
     assert calls == [200, 400]  # budgets no larger than a failed one raise at once
     design = generate_howell(9, 10, None)
     assert validate_howell(design) == [] and generate_howell(9, 10, 1) is design
+
+
+def _recording_search(monkeypatch) -> list:
+    import dinners.howell as howell
+
+    calls = []
+
+    def exhausted(m, n2, node_budget=None):
+        calls.append((m, n2))
+        raise SearchBudgetExceeded(f"H({m},{n2}) search exceeded {node_budget} nodes")
+
+    monkeypatch.setattr(howell, "_CACHE", {})
+    monkeypatch.setattr(howell, "search_howell", exhausted)
+    return calls
+
+
+def test_closed_form_designs_are_valid_and_never_searched(monkeypatch):
+    calls = _recording_search(monkeypatch)
+    covered = [n for n in range(1, 129) if n % 4 != 2]
+    for n in covered:
+        design = generate_howell(n, 2 * n, node_budget=1)
+        assert (design.m, design.n2) == (n, 2 * n)
+        assert validate_howell(design) == [], n
+        assert generate_howell(n, 2 * n, node_budget=1) is design  # cached
+    assert calls == []
+    assert all(latin_howell(n) is None for n in range(2, 129, 4))
+
+
+def test_shapes_without_a_closed_form_are_searched(monkeypatch):
+    calls = _recording_search(monkeypatch)
+    shapes = [(6, 12), (10, 20), (6, 10), (7, 12), (9, 10), (15, 16)]  # n = 2 mod 4, or m > n
+    for m, n2 in shapes:
+        with pytest.raises(SearchBudgetExceeded):
+            generate_howell(m, n2, node_budget=1)
+    assert calls == shapes

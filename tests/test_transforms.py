@@ -1,6 +1,7 @@
 """Schedule rewrites preserve feasibility; pipelines stay within their bounds."""
 
 import random
+import time
 
 import pytest
 
@@ -225,10 +226,11 @@ def _count_searches(monkeypatch) -> list:
 
 
 def test_best_feasible_searches_a_failed_shape_once(monkeypatch):
-    # sigma = 2: the howell route and the ub1 base both need H(15,30).
+    # sigma = 2: the howell route and the ub1 base both need H(10,20), which
+    # has no closed form (10 = 2 mod 4) and is searched.
     calls = _count_searches(monkeypatch)
-    sched, count = best_feasible(Instance(9, 30, 22, 2, 3), node_budget=1000)
-    assert calls == [(15, 30)]
+    sched, count = best_feasible(Instance(9, 20, 22, 2, 3), node_budget=1000)
+    assert calls == [(10, 20)]
     assert feasible(sched) and count == sched.dinner_count()
 
 
@@ -251,3 +253,11 @@ def test_best_feasible_propagates_a_fault_in_a_total_route(monkeypatch):
     # c > gamma and sigma = 3: no proven route applies, so the generic ones run.
     with pytest.raises(ConstructionError, match="internal fault"):
         best_feasible(Instance(2, 7, 5, 3, 1))
+
+
+def test_best_feasible_mid_scale_is_fast():
+    # ub1's base needs H(25,50): built in closed form, not searched.
+    start = time.perf_counter()
+    sched, count = best_feasible(Instance(10, 50, 100, 3, 4))
+    assert time.perf_counter() - start < 1.0
+    assert feasible(sched) and count == sched.dinner_count()
