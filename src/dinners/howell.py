@@ -90,58 +90,40 @@ class _Search:
     def __init__(self, m: int, n2: int, node_budget: int | None, seed: int | None = None):
         self.m = m
         self.n2 = n2
-        self.n = n2 // 2
+        self.n = n = n2 // 2
         self.budget = node_budget
         self.nodes = 0
         self.full = (1 << n2) - 1
-        self.all_cols = (1 << m) - 1
-        self.sym_cols = [self.all_cols] * n2  # columns still missing symbol x
+        self.sym_cols = [(1 << m) - 1] * n2  # columns still missing symbol x
         self.col_filled = [0] * m
-        self.col_open = self.all_cols if self.n > 0 else 0
         self.partner_used = [0] * n2  # symbols already paired with x
         self.grid: list[list[tuple[int, int] | None]] = [[None] * m for _ in range(m)]
         # When every pair must appear (m == 2n-1), unused pairs must keep a
         # common open column, which prunes dead rows early.
         self.all_pairs_needed = m == n2 - 1
+        # Value orderings as ranks: partners and columns are tried in
+        # ascending rank, or ascending id where the rank is None.
         self.n_tables = 16
         if seed is None:
-            self.partner_order = [list(range(n2))] * self.n_tables
-            self.col_order = [list(range(m))] * self.n_tables
+            self.partner_rank = self.col_rank = [None] * self.n_tables
         else:
             rng = random.Random(seed * 7919 + 17)
-            self.partner_order = []
-            self.col_order = []
+            self.partner_rank = []
+            self.col_rank = []
             for _ in range(self.n_tables):
                 p = list(range(n2))
                 rng.shuffle(p)
-                self.partner_order.append(p)
+                self.partner_rank.append(_ranks(p))
                 cols = list(range(m))
                 rng.shuffle(cols)
-                self.col_order.append(cols)
-        for i in range(self.n):
-            self._place(0, i, 2 * i, 2 * i + 1)
-
-    def _place(self, r: int, k: int, x: int, y: int) -> None:
-        kbit = 1 << k
-        self.grid[r][k] = (x + 1, y + 1)
-        self.sym_cols[x] &= ~kbit
-        self.sym_cols[y] &= ~kbit
-        self.col_filled[k] += 1
-        if self.col_filled[k] >= self.n:
-            self.col_open &= ~kbit
-        self.partner_used[x] |= 1 << y
-        self.partner_used[y] |= 1 << x
-
-    def _unplace(self, r: int, k: int, x: int, y: int) -> None:
-        kbit = 1 << k
-        self.grid[r][k] = None
-        self.sym_cols[x] |= kbit
-        self.sym_cols[y] |= kbit
-        if self.col_filled[k] >= self.n:
-            self.col_open |= kbit
-        self.col_filled[k] -= 1
-        self.partner_used[x] &= ~(1 << y)
-        self.partner_used[y] &= ~(1 << x)
+                self.col_rank.append(_ranks(cols))
+        for i in range(n):
+            self.grid[0][i] = (2 * i + 1, 2 * i + 2)
+            self.sym_cols[2 * i] ^= 1 << i
+            self.sym_cols[2 * i + 1] ^= 1 << i
+            self.col_filled[i] = 1
+            self.partner_used[2 * i] = 1 << (2 * i + 1)
+            self.partner_used[2 * i + 1] = 1 << (2 * i)
 
     def _tick(self) -> None:
         self.nodes += 1
@@ -150,109 +132,146 @@ class _Search:
                 f"H({self.m},{self.n2}) search exceeded {self.budget} nodes"
             )
 
-    def _row_done_ok(self, r: int) -> bool:
-        rows_left = self.m - r - 1
-        for k in range(self.m):
-            if self.n - self.col_filled[k] > rows_left:
-                return False
-        for x in range(self.n2):
-            if bin(self.partner_used[x]).count("1") + rows_left > self.n2 - 1:
-                return False
-            if bin(self.sym_cols[x] & self.col_open).count("1") < rows_left:
-                return False
-        if self.all_pairs_needed:
-            for x in range(self.n2):
-                pu = self.partner_used[x]
-                sx = self.sym_cols[x]
-                for y in range(x + 1, self.n2):
-                    if not (pu >> y) & 1 and not (sx & self.sym_cols[y]):
-                        return False
-        return True
-
     def run(self) -> HowellDesign | None:
-        if not self._row_done_ok(0):
-            return None
-        if self._extend_row(1):
+        if self._next_row(1):
             cells = tuple(tuple(row) for row in self.grid)
             return HowellDesign(self.m, self.n2, cells)
         return None
 
-    def _extend_row(self, r: int) -> bool:
-        if r == self.m:
-            return True
-        if not (self.sym_cols[0] & self.col_open & (1 << r)):
-            return False
-        return self._fill(r, self.full, self.all_cols, r)
+    def _next_row(self, r: int) -> bool:
+        """Rows 0..r-1 are full: prune if the rest cannot be filled, else fill row r."""
+        rows_left = self.m - r
+        n = self.n
+        open_cols = tight = 0
+        for k, filled in enumerate(self.col_filled):
+            lack = n - filled
+            if lack > rows_left:
+                return False
+            if lack:
+                open_cols |= 1 << k
+                if lack == rows_left:
+                    tight |= 1 << k
+        sym = self.sym_cols
+        max_partners = self.n2 - 1 - rows_left
+        for x, cols in enumerate(sym):
+            if self.partner_used[x].bit_count() > max_partners:
+                return False
+            if (cols & open_cols).bit_count() < rows_left:
+                return False
+        if self.all_pairs_needed:
+            for x, sx in enumerate(sym):
+                unmet = self.full & ~self.partner_used[x] & ~((2 << x) - 1)  # partners y > x
+                while unmet:
+                    low = unmet & -unmet
+                    unmet ^= low
+                    if not sx & sym[low.bit_length() - 1]:
+                        return False
+        return r == self.m or self._fill(r, self.full, open_cols, tight)
 
-    def _fill(self, r: int, unplaced: int, row_free: int, pin_col: int) -> bool:
-        if not unplaced:
-            if not self._row_done_ok(r):
-                return False
-            return self._extend_row(r + 1)
-        avail = row_free & self.col_open
-        cells_left = bin(unplaced).count("1") // 2
-        if bin(avail).count("1") < cells_left:
+    def _fill(self, r: int, unplaced: int, avail: int, must: int) -> bool:
+        """Place the next pair of row r, then search on.
+
+        unplaced: the symbols row r still lacks.  avail: the open columns
+        with no cell in row r yet.  must: the columns of avail that lack a
+        cell in each row left, this one included.
+
+        must needs no scan of the columns: _next_row admits row r only when
+        no column lacks more than the m-r rows left, and passes the columns
+        that lack exactly m-r as tight.  Such a column is open, and once it
+        gets its cell in row r it lacks one fewer and leaves avail.  So must
+        is the tight columns still in avail.  And a per-column test for a
+        column lacking more than it can still get (the rows after this one,
+        plus one if it is in avail) could never fail.
+        """
+        sym = self.sym_cols
+        pused = self.partner_used
+        cells_left = unplaced.bit_count() >> 1
+        if avail.bit_count() < cells_left:
             return False
-        # Columns whose deficit equals the remaining row count must receive a
-        # cell in this row; if they already cannot, or there are more of them
-        # than cells left, this branch is dead.
-        rows_after = self.m - r - 1
-        must = 0
-        for k in range(self.m):
-            lack = self.n - self.col_filled[k]
-            kbit = 1 << k
-            if lack > rows_after + (1 if avail & kbit else 0):
-                return False
-            if lack == rows_after + 1 and avail & kbit:
-                must |= kbit
-        n_must = bin(must).count("1")
+        n_must = must.bit_count()
         if n_must > cells_left:
             return False
-        forced_cols = must if n_must == cells_left else self.all_cols
-        # The pinned symbol is maximally constrained; otherwise pick the
-        # unplaced symbol with the fewest candidate columns.
+        # Symbol 1 (bit 0) opens every row in the pinned column r; otherwise
+        # pick the unplaced symbol with the fewest candidate columns.
         if unplaced & 1:
             x = 0
-            xcols = avail & self.sym_cols[0] & (1 << pin_col)
-            if not xcols:
-                return False
+            xcols = avail & sym[0] & (1 << r)
         else:
             x = -1
             best = 1 << 30
             u = unplaced
             while u:
-                cand = (u & -u).bit_length() - 1
-                u &= u - 1
-                cols = avail & self.sym_cols[cand]
-                score = bin(cols).count("1")
-                if score == 0:
+                low = u & -u
+                u ^= low
+                cand = low.bit_length() - 1
+                cols = avail & sym[cand]
+                if not cols:
                     return False
-                if not (unplaced & ~(1 << cand) & ~self.partner_used[cand]):
+                if not (unplaced ^ low) & ~pused[cand]:
                     return False
+                score = cols.bit_count()
                 if score < best:
                     best = score
                     x = cand
-            xcols = avail & self.sym_cols[x] & forced_cols
-            if not xcols:
-                return False
-        rest = unplaced & ~(1 << x)
-        pmask = rest & ~self.partner_used[x]
+            xcols = avail & sym[x]
+            if n_must == cells_left:
+                xcols &= must
+        if not xcols:
+            return False
+        xbit = 1 << x
+        rest = unplaced ^ xbit
         order = (r * 7 + x) % self.n_tables
-        for y in self.partner_order[order]:
-            if not (pmask >> y) & 1:
-                continue
-            cols = xcols & self.sym_cols[y]
+        col_rank = self.col_rank[order]
+        filled = self.col_filled
+        row = self.grid[r]
+        for y in _bits(rest & ~pused[x], self.partner_rank[order]):
+            cols = xcols & sym[y]
             if not cols:
                 continue
-            for k in self.col_order[order]:
-                if not (cols >> k) & 1:
-                    continue
+            ybit = 1 << y
+            left = rest ^ ybit
+            # x has the fewest candidate columns, so cols is most often one bit.
+            for k in _bits(cols, col_rank) if cols & (cols - 1) else (cols.bit_length() - 1,):
                 self._tick()
-                self._place(r, k, x, y)
-                if self._fill(r, rest & ~(1 << y), row_free & ~(1 << k), pin_col):
+                kbit = 1 << k
+                row[k] = (x + 1, y + 1)
+                sym[x] ^= kbit
+                sym[y] ^= kbit
+                filled[k] += 1
+                pused[x] ^= ybit
+                pused[y] ^= xbit
+                if left:
+                    if self._fill(r, left, avail ^ kbit, must & ~kbit):
+                        return True
+                elif self._next_row(r + 1):
                     return True
-                self._unplace(r, k, x, y)
+                row[k] = None
+                sym[x] ^= kbit
+                sym[y] ^= kbit
+                filled[k] -= 1
+                pused[x] ^= ybit
+                pused[y] ^= xbit
         return False
+
+
+def _ranks(order: list[int]) -> list[int]:
+    """rank[v] = position of v in order."""
+    rank = [0] * len(order)
+    for i, v in enumerate(order):
+        rank[v] = i
+    return rank
+
+
+def _bits(mask: int, rank: list[int] | None) -> list[int]:
+    """The set bits of mask in ascending rank, or ascending index when rank is None."""
+    out = []
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        out.append(low.bit_length() - 1)
+    if rank is not None:
+        out.sort(key=rank.__getitem__)
+    return out
 
 
 def latin_howell(n: int) -> HowellDesign | None:

@@ -198,24 +198,35 @@ def validate_schedule(sched: Schedule) -> ValidationReport:
 
 
 def encode_schedule(sched: Schedule) -> str:
-    """Serialize to the canonical JSON interchange format (sorted id arrays)."""
-    obj = {
-        "instance": {
-            "t": sched.instance.t,
-            "s": sched.instance.s,
-            "c": sched.instance.c,
-            "sigma": sched.instance.sigma,
-            "gamma": sched.instance.gamma,
-        },
-        "dinners": [
-            [
-                {"suppliers": sorted(tab.suppliers), "customers": sorted(tab.customers)}
-                for tab in dinner.tables
-            ]
-            for dinner in sched.dinners
-        ],
-    }
-    return json.dumps(obj, indent=2) + "\n"
+    """Serialize to the canonical JSON interchange format (sorted id arrays).
+
+    The text is exactly ``json.dumps(obj, indent=2) + "\n"`` for
+    {"instance": {"t", "s", "c", "sigma", "gamma"}, "dinners": [[{"suppliers":
+    [...], "customers": [...]}, ...], ...]}: 2-space indent, one id per line.
+    It is joined from strings here, because ``indent`` sends json.dumps to its
+    pure-Python encoder.
+    """
+    inst = sched.instance
+    head = (f'{{\n  "instance": {{\n    "t": {inst.t},\n    "s": {inst.s},\n    "c": {inst.c},\n'
+            f'    "sigma": {inst.sigma},\n    "gamma": {inst.gamma}\n  }},\n  "dinners": ')
+    if not sched.dinners:
+        return head + "[]\n}\n"
+    dinners = []
+    for dinner in sched.dinners:
+        tables = [
+            '{\n        "suppliers": ' + _id_array(tab.suppliers)
+            + ',\n        "customers": ' + _id_array(tab.customers) + "\n      }"
+            for tab in dinner.tables
+        ]
+        dinners.append("[\n      " + ",\n      ".join(tables) + "\n    ]" if tables else "[]")
+    return head + "[\n    " + ",\n    ".join(dinners) + "\n  ]\n}\n"
+
+
+def _id_array(ids: frozenset[int]) -> str:
+    """A sorted id array as json.dumps(..., indent=2) writes it at table depth."""
+    if not ids:
+        return "[]"
+    return "[\n          " + ",\n          ".join(map(str, sorted(ids))) + "\n        ]"
 
 
 def _require_keys(obj: dict, keys: set[str], where: str) -> None:

@@ -21,6 +21,7 @@ from dinners.bounds import (
     lb5,
     ub_best,
 )
+from dinners.cli import LB_REFERENCE, UB_REFERENCE
 from dinners.coloring import equitable_bipartite_coloring
 from dinners.constructions import (
     build_cas_par,
@@ -51,17 +52,13 @@ from dinners.transforms import (
     split_tables,
 )
 
-LB_TABLE = {
-    (5, 8, 8, 1, 2): ((8, 4, 7, 3, 0), 0),
-    (6, 8, 8, 2, 1): ((4, 8, 6, 4, 6), 1),
-    (1, 8, 8, 1, 1): ((8, 8, 64, 23, 0), 2),
-    (1, 11, 8, 6, 4): ((2, 2, 4, 7, 4), 3),
-    (1, 8, 11, 2, 1): ((4, 11, 44, 32, 60), 4),
-}
+# The paper's reference rows live once, in the CLI's `reference-tables`.
+LB_TABLE = {params: (expected, star) for params, expected, star in LB_REFERENCE}
 
 
 def test_criterion_01_lower_bound_table():
     t0 = time.time()
+    assert len(LB_TABLE) == 5
     for params, (expected, star) in LB_TABLE.items():
         inst = Instance(*params)
         rep = compute_bounds(inst)
@@ -74,10 +71,10 @@ def test_criterion_01_lower_bound_table():
 
 def test_criterion_02_upper_bound_comparisons():
     t0 = time.time()
-    rep = compute_bounds(Instance(3, 6, 3, 2, 1))
-    assert (rep.ub1, rep.ub2) == (3, 11)
-    rep = compute_bounds(Instance(3, 6, 9, 2, 1))
-    assert (rep.ub1, rep.ub2) == (18, 17)
+    assert [params for params, _, _ in UB_REFERENCE] == [(3, 6, 3, 2, 1), (3, 6, 9, 2, 1)]
+    for params, ub1, ub2 in UB_REFERENCE:
+        rep = compute_bounds(Instance(*params))
+        assert (rep.ub1, rep.ub2) == (ub1, ub2), params
     print(f"\nACCEPTANCE 2 PASS: upper-bound comparison instances exact "
           f"({time.time()-t0:.2f}s)")
 

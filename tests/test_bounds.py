@@ -26,15 +26,10 @@ from dinners.bounds import (
     ub_best,
     ub_eucli,
 )
+from dinners.cli import LB_REFERENCE, UB_REFERENCE
 from dinners.model import Instance
 
-LB_TABLE = {
-    (5, 8, 8, 1, 2): (8, 4, 7, 3, 0),
-    (6, 8, 8, 2, 1): (4, 8, 6, 4, 6),
-    (1, 8, 8, 1, 1): (8, 8, 64, 23, 0),
-    (1, 11, 8, 6, 4): (2, 2, 4, 7, 4),
-    (1, 8, 11, 2, 1): (4, 11, 44, 32, 60),
-}
+LB_TABLE = {params: expected for params, expected, _ in LB_REFERENCE}
 
 
 def all_lbs(inst: Instance) -> tuple[int, int, int, int, int]:
@@ -43,6 +38,7 @@ def all_lbs(inst: Instance) -> tuple[int, int, int, int, int]:
 
 
 def test_reference_lb_table():
+    assert len(LB_TABLE) == 5
     for params, expected in LB_TABLE.items():
         assert all_lbs(Instance(*params)) == expected, params
 
@@ -121,10 +117,9 @@ def test_lb5_attained_at_clamped_j_star():
 
 
 def test_ub_reference_values():
-    assert ub1(Instance(3, 6, 3, 2, 1)) == 3
-    assert ub2(Instance(3, 6, 3, 2, 1)) == 11
-    assert ub1(Instance(3, 6, 9, 2, 1)) == 18
-    assert ub2(Instance(3, 6, 9, 2, 1)) == 17
+    assert len(UB_REFERENCE) == 2
+    for params, expected1, expected2 in UB_REFERENCE:
+        assert (ub1(Instance(*params)), ub2(Instance(*params))) == (expected1, expected2), params
     assert ub1(Instance(2, 5, 6, 2, 3)) == 3
 
 

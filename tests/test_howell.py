@@ -1,7 +1,10 @@
 """Howell design generation, validity axioms, and nonexistence proofs."""
 
+import hashlib
+
 import pytest
 
+import dinners.howell as howell
 from dinners.howell import (
     HowellDesign,
     SearchBudgetExceeded,
@@ -81,8 +84,6 @@ def test_validate_howell_catches_broken_arrays():
 
 
 def test_failed_search_is_cached_per_budget(monkeypatch):
-    import dinners.howell as howell
-
     calls = []
     monkeypatch.setattr(howell, "_CACHE", {})
     monkeypatch.setattr(howell, "search_howell",
@@ -96,8 +97,6 @@ def test_failed_search_is_cached_per_budget(monkeypatch):
 
 
 def _recording_search(monkeypatch) -> list:
-    import dinners.howell as howell
-
     calls = []
 
     def exhausted(m, n2, node_budget=None):
@@ -128,3 +127,54 @@ def test_shapes_without_a_closed_form_are_searched(monkeypatch):
         with pytest.raises(SearchBudgetExceeded):
             generate_howell(m, n2, node_budget=1)
     assert calls == shapes
+
+
+# (m, 2n, node budget, outcome, nodes of each restart, digest of every
+# restart's grid where it stopped), recorded before the search kernel was
+# rewritten for speed.  A cut restart stops at its cap + 1 nodes whatever the
+# tree, so the grid it was cut on is what pins its path; for a found design
+# the last grid is the design.  Budgets above 8,000 run seeded restarts.
+PINNED_SEARCHES = [
+    (4, 6, 100_000, "found", [9], "bc647381ca77e213"),
+    (6, 8, 100_000, "found", [1166], "d9f68ce6d486c3cd"),
+    (6, 12, 100_000, "found", [8001, 6064], "e2c480699da4d1b1"),
+    (7, 12, 100_000, "found", [8001] * 8 + [2635], "dd081c27e1300b17"),
+    (5, 6, 100_000, "absent", [418], "030fd949869daa19"),
+    (5, 8, 100_000, "cut", [8001] * 12 + [3989], "3ba72dd9fc4110f9"),
+    (18, 30, 10_000, "cut", [8001, 2000], "3792eaa8512cfee9"),
+    (30, 46, 10_000, "cut", [8001, 2000], "a63cd4fe2ab930d7"),
+]
+
+
+def _grid_digest(grids) -> str:
+    return hashlib.sha256(repr(grids).encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("m, n2, budget, outcome, nodes, digest", PINNED_SEARCHES)
+def test_search_tree_is_pinned(monkeypatch, m, n2, budget, outcome, nodes, digest):
+    restarts = []
+
+    class Recorded(howell._Search):
+        def __init__(self, *args):
+            super().__init__(*args)
+            restarts.append(self)
+
+    monkeypatch.setattr(howell, "_Search", Recorded)
+    try:
+        design = search_howell(m, n2, budget)
+        got = "absent" if design is None else "found"
+    except SearchBudgetExceeded:
+        design, got = None, "cut"
+    assert got == outcome
+    assert [s.nodes for s in restarts] == nodes
+    assert _grid_digest([s.grid for s in restarts]) == digest
+    if design is not None:
+        assert validate_howell(design) == []
+        assert [list(row) for row in design.cells] == restarts[-1].grid
+
+
+def test_one_exhaustive_pass_proves_h58_absent():
+    search = howell._Search(5, 8, 100_000)
+    assert search.run() is None
+    assert search.nodes == 28_900
+    assert _grid_digest(search.grid) == "ba1896ef35f7e5ee"  # only the fixed row 0 is left

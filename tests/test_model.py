@@ -1,8 +1,11 @@
 """Domain types, validator, grouping, and the JSON interchange format."""
 
+import json
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from dinners.constructions import load_example_schedule
 from dinners.model import (
@@ -174,3 +177,40 @@ def test_roundtrip_random_schedules():
     for _ in range(200):
         sched = random_schedule(rng)
         assert decode_schedule(encode_schedule(sched)) == sched
+
+
+# Multi-digit ids, so that a frozenset's iteration order is not sorted.
+ID_SETS = st.frozensets(st.integers(1, 10**6), max_size=5)
+TABLES = st.tuples(ID_SETS, ID_SETS).filter(any).map(lambda ids: TableSeating(*ids))
+
+
+@st.composite
+def schedules(draw) -> Schedule:
+    """Schedules that decode: no table is wholly empty, every id is in range.
+
+    Zero dinners, dinners with no tables and tables with one empty side occur.
+    """
+    dinners = draw(st.lists(st.lists(TABLES, max_size=3).map(Dinner.of), max_size=4))
+    tables = [tab for dinner in dinners for tab in dinner.tables]
+    s = max((i for tab in tables for i in tab.suppliers), default=1)
+    c = max((k for tab in tables for k in tab.customers), default=1)
+    extra = st.integers(0, 10**3)
+    inst = Instance(draw(st.integers(1, 10**4)), s + draw(extra), c + draw(extra),
+                    draw(st.integers(1, 200)), draw(st.integers(1, 200)))
+    return Schedule.of(inst, dinners)
+
+
+@given(sched=schedules())
+def test_encode_is_json_dumps_with_indent(sched):
+    inst = sched.instance
+    reference = json.dumps({
+        "instance": {"t": inst.t, "s": inst.s, "c": inst.c, "sigma": inst.sigma, "gamma": inst.gamma},
+        "dinners": [
+            [{"suppliers": sorted(tab.suppliers), "customers": sorted(tab.customers)}
+             for tab in dinner.tables]
+            for dinner in sched.dinners
+        ],
+    }, indent=2) + "\n"
+    text = encode_schedule(sched)
+    assert text == reference
+    assert decode_schedule(text) == sched
