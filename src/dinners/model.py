@@ -140,61 +140,79 @@ def validate_schedule(sched: Schedule) -> ValidationReport:
     co-seated at most once, and id ranges.  People may skip dinners entirely.
     """
     inst = sched.instance
+    t, s, c, sigma, gamma = inst.t, inst.s, inst.c, inst.sigma, inst.gamma
     violations: list[tuple[str, str]] = []
-    meet_count: dict[tuple[int, int], int] = {}
+    met = [0] * (s + 1)  # met[i]: bit k set once supplier i has met customer k
+    met_again = [0] * (s + 1)  # the same, for customers met twice or more
+    repeats: dict[tuple[int, int], int] = {}  # (i, k): meetings, for the pairs in met_again
     sup_pair_count: dict[tuple[int, int], int] = {}
 
     for d, dinner in enumerate(sched.dinners, start=1):
-        if len(dinner.tables) > inst.t:
-            violations.append(
-                (TABLE_COUNT_EXCEEDED, f"dinner {d} uses {len(dinner.tables)} tables > t={inst.t}")
-            )
+        if len(dinner.tables) > t:
+            violations.append((TABLE_COUNT_EXCEEDED, f"dinner {d} uses {len(dinner.tables)} tables > t={t}"))
         seen_sups: set[int] = set()
         seen_custs: set[int] = set()
         for x, table in enumerate(dinner.tables, start=1):
-            if len(table.suppliers) > inst.sigma:
+            sups, custs = table.suppliers, table.customers
+            if len(sups) > sigma:
                 violations.append(
-                    (SUPPLIER_CAP_EXCEEDED,
-                     f"dinner {d} table {x} seats {len(table.suppliers)} suppliers > sigma={inst.sigma}")
+                    (SUPPLIER_CAP_EXCEEDED, f"dinner {d} table {x} seats {len(sups)} suppliers > sigma={sigma}")
                 )
-            if len(table.customers) > inst.gamma:
+            if len(custs) > gamma:
                 violations.append(
-                    (CUSTOMER_CAP_EXCEEDED,
-                     f"dinner {d} table {x} seats {len(table.customers)} customers > gamma={inst.gamma}")
+                    (CUSTOMER_CAP_EXCEEDED, f"dinner {d} table {x} seats {len(custs)} customers > gamma={gamma}")
                 )
-            for i in table.suppliers:
-                if not 1 <= i <= inst.s:
-                    violations.append((ID_OUT_OF_RANGE, f"dinner {d} table {x}: supplier {i} not in 1..{inst.s}"))
+            for i in sups:
+                if not 1 <= i <= s:
+                    violations.append((ID_OUT_OF_RANGE, f"dinner {d} table {x}: supplier {i} not in 1..{s}"))
                 if i in seen_sups:
                     violations.append((PERSON_AT_TWO_TABLES, f"dinner {d}: supplier {i} sits at two tables"))
-            for k in table.customers:
-                if not 1 <= k <= inst.c:
-                    violations.append((ID_OUT_OF_RANGE, f"dinner {d} table {x}: customer {k} not in 1..{inst.c}"))
+            table_custs = 0
+            for k in custs:
+                if not 1 <= k <= c:
+                    violations.append((ID_OUT_OF_RANGE, f"dinner {d} table {x}: customer {k} not in 1..{c}"))
+                else:
+                    table_custs |= 1 << k
                 if k in seen_custs:
                     violations.append((PERSON_AT_TWO_TABLES, f"dinner {d}: customer {k} sits at two tables"))
-            seen_sups.update(table.suppliers)
-            seen_custs.update(table.customers)
-            for i in table.suppliers:
-                for k in table.customers:
-                    meet_count[(i, k)] = meet_count.get((i, k), 0) + 1
-            sups = sorted(table.suppliers)
-            for a in range(len(sups)):
-                for b in range(a + 1, len(sups)):
-                    pair = (sups[a], sups[b])
-                    sup_pair_count[pair] = sup_pair_count.get(pair, 0) + 1
+            seen_sups.update(sups)
+            seen_custs.update(custs)
+            # Meetings are counted for ids in range only, which are the ones
+            # reported below.
+            for i in sups:
+                if 1 <= i <= s:
+                    again = met[i] & table_custs
+                    met[i] |= table_custs
+                    if again:
+                        met_again[i] |= again
+                        for k in _bit_positions(again):
+                            repeats[i, k] = repeats.get((i, k), 1) + 1
+            if len(sups) > 1:
+                ordered = sorted(sups)
+                for a in range(len(ordered)):
+                    for b in range(a + 1, len(ordered)):
+                        pair = (ordered[a], ordered[b])
+                        sup_pair_count[pair] = sup_pair_count.get(pair, 0) + 1
 
-    for i in range(1, inst.s + 1):
-        for k in range(1, inst.c + 1):
-            n = meet_count.get((i, k), 0)
-            if n == 0:
+    all_custs = (1 << c + 1) - 2
+    for i in range(1, s + 1):
+        missing = all_custs & ~met[i]
+        for k in _bit_positions(missing | met_again[i]):
+            n = repeats.get((i, k))
+            if n is None:
                 violations.append((PAIR_MISSING, f"supplier {i} and customer {k} never meet"))
-            elif n > 1:
+            else:
                 violations.append((PAIR_REPEATED, f"supplier {i} and customer {k} meet {n} times"))
     for (i, j), n in sorted(sup_pair_count.items()):
         if n > 1:
             violations.append((SUPPLIER_PAIR_REPEATED, f"suppliers {i} and {j} share a table {n} times"))
 
     return ValidationReport(feasible=not violations, violations=tuple(violations))
+
+
+def _bit_positions(mask: int) -> list[int]:
+    """The set bits of mask, lowest first, in time linear in its length."""
+    return [k for k, bit in enumerate(reversed(bin(mask)[2:])) if bit == "1"]
 
 
 def encode_schedule(sched: Schedule) -> str:

@@ -12,6 +12,21 @@ table keys must be non-decreasing (dinners are interchangeable, so they can
 be assumed sorted).  Tables always carry at least one supplier and one
 customer, and only pairs that have never met may share a table, both of which
 hold in some optimal schedule.
+
+Ranked candidates: a table's canonical key (its supplier tuple, then its
+customer tuple, in lex order) is encoded once per solve_exact call as an
+integer whose order is the key order, so the ordering rules above are integer
+comparisons.  The candidates of a table slot are walked in that order, lazily:
+suppliers in preorder over the bitmask of those still allowed, then customers
+over the mask they have all left to meet.  A prefix that fails (a member
+seated, a supplier pair used, no common unmet customer, or no key above the
+floor) is skipped with its subtree, since the conditions only tighten below
+it.
+
+Explicit stack: each table slot is a generator frame that places one
+candidate, yields the frame of the next slot, and undoes the placement when
+resumed.  A loop drives a list of such frames, so the search depth (one frame
+a table) is not limited by Python's recursion limit.
 """
 
 from __future__ import annotations
@@ -75,271 +90,276 @@ class _Found(Exception):
     pass
 
 
+class _Keys:
+    """Canonical table keys as integers, fixed once per solve_exact call.
+
+    A table's key lists its supplier ids, then its customer ids, each
+    ascending, as fixed-width digits id+1, with 0 past the end of a tuple.
+    So integer order is the tuple order (a tuple sorts before its
+    extensions), the order in which the search meets the tables.
+    """
+
+    def __init__(self, inst: Instance):
+        s, c = inst.s, inst.c
+        self.sigma, self.gamma = min(inst.sigma, s), min(inst.gamma, c)
+        self.all_s, self.all_c = (1 << s) - 1, (1 << c) - 1
+        sw, cw = s.bit_length(), c.bit_length()
+        self.cust_shift = [cw * (self.gamma - 1 - j) for j in range(self.gamma)]
+        self.sup_shift = [cw * self.gamma + sw * (self.sigma - 1 - j) for j in range(self.sigma)]
+        # Every key in the subtree below a member at depth j lies within
+        # its *_low[j] bits of the member's own key.
+        self.cust_low = [(1 << x) - 1 for x in self.cust_shift]
+        self.sup_low = [(1 << x) - 1 for x in self.sup_shift]
+        # First table of the first dinner: a prefix block {1..a} x {1..b},
+        # since any schedule can be relabeled that way.
+        self.prefix_block = []
+        for a in range(1, self.sigma + 1):
+            sups = tuple(range(a))
+            tbits = sum(((1 << a) - 1 ^ 1 << i) << (i * s) for i in sups)
+            for b in range(1, self.gamma + 1):
+                custs = tuple(range(b))
+                self.prefix_block.append((self.key(sups, custs), sups, (1 << a) - 1, tbits,
+                                          custs, (1 << b) - 1))
+
+    def key(self, sups: tuple[int, ...], custs: tuple[int, ...]) -> int:
+        return (sum((i + 1) << x for i, x in zip(sups, self.sup_shift))
+                + sum((k + 1) << x for k, x in zip(custs, self.cust_shift)))
+
+
 class _Level:
     """One depth-limited search: is there a feasible schedule in <= D dinners?"""
 
-    def __init__(self, inst: Instance, d_max: int, prune: bool,
-                 node_cap: int | None, deadline: float | None, nodes_used: int):
+    def __init__(self, inst: Instance, keys: _Keys, d_max: int, prune: bool,
+                 node_cap: int | None, deadline: float | None):
         self.inst = inst
+        self.keys = keys
         self.d_max = d_max
         self.prune = prune
-        self.node_cap = node_cap
+        self.node_cap = node_cap if node_cap is not None else float("inf")
         self.deadline = deadline
-        self.nodes = nodes_used
+        self.nodes = 0
         s, c = inst.s, inst.c
-        self.all_c = (1 << c) - 1
         self.met = [0] * s  # met[i]: customers already met by supplier i+1
-        self.pair_used = [0] * s  # pair_used[i]: suppliers co-seated with i+1
+        self.pairs = 0  # bit i*s+j: suppliers i+1 and j+1 have shared a table
         self.sup_deficit = [c] * s
         self.cust_deficit = [s] * c
         self.unmet = s * c
         self.pairs_free = s * (s - 1) // 2
-        self.dinners: list[list[tuple[tuple[int, ...], tuple[int, ...]]]] = []
+        self.placed: list[tuple[int, tuple[int, ...], tuple[int, ...]]] = []
         self.witness: Schedule | None = None
-
-    def _tick(self) -> None:
-        self.nodes += 1
-        if self.node_cap is not None and self.nodes > self.node_cap:
-            raise _Budget
-        if self.deadline is not None and self.nodes % 4096 == 0 and time.monotonic() > self.deadline:
-            raise _Budget
 
     def _capacity_ok(self, dinners_left: int) -> bool:
         if not self.prune:
             return True
         inst = self.inst
-        if self.unmet > dinners_left * inst.t * inst.sigma * inst.gamma:
+        t, sigma, gamma = inst.t, inst.sigma, inst.gamma
+        unmet = self.unmet
+        if unmet > dinners_left * t * sigma * gamma:
             return False
         # Tables beyond one supplier consume never-reusable supplier pairs: a
         # table with e extra suppliers burns e*(e+1)/2 >= e pairs, so the
         # extra meeting capacity is capped by the free-pair count.
-        slots = dinners_left * inst.t
-        extra = min((inst.sigma - 1) * slots, self.pairs_free)
-        if self.unmet > inst.gamma * (slots + extra):
+        slots = dinners_left * t
+        extra = min((sigma - 1) * slots, self.pairs_free)
+        if unmet > gamma * (slots + extra):
             return False
         cust_seats = 0
         for deficit in self.cust_deficit:
-            if deficit > dinners_left * inst.sigma:
+            if deficit > dinners_left * sigma:
                 return False
-            cust_seats += -(-deficit // inst.sigma)
-        if cust_seats > dinners_left * inst.t * inst.gamma:
+            cust_seats += -(-deficit // sigma)
+        if cust_seats > slots * gamma:
             return False
         sup_seats = 0
         for deficit in self.sup_deficit:
-            if deficit > dinners_left * inst.gamma:
+            if deficit > dinners_left * gamma:
                 return False
-            sup_seats += -(-deficit // inst.gamma)
-        if sup_seats > dinners_left * inst.t * inst.sigma:
-            return False
-        return True
+            sup_seats += -(-deficit // gamma)
+        return sup_seats <= slots * sigma
 
-    def _mid_dinner_ok(self, full_dinners_left: int, tables_left: int, used_c: int) -> bool:
+    def _mid_dinner_ok(self, full_dinners_left: int, tables_left: int,
+                       used_s: int, used_c: int) -> bool:
         """Capacity checks refreshed after each table placement."""
-        if not self.prune:
-            return True
         inst = self.inst
-        slots = tables_left + full_dinners_left * inst.t
-        extra = min((inst.sigma - 1) * slots, self.pairs_free)
-        if self.unmet > inst.gamma * (slots + extra):
+        t, sigma, gamma = inst.t, inst.sigma, inst.gamma
+        slots = tables_left + full_dinners_left * t
+        extra = min((sigma - 1) * slots, self.pairs_free)
+        if self.unmet > gamma * (slots + extra):
             return False
-        cap_later = full_dinners_left * inst.sigma
-        cap_now = inst.sigma * min(tables_left, 1)
-        urgent = 0
-        for k, deficit in enumerate(self.cust_deficit):
-            if used_c >> k & 1:
+        # A customer seated this dinner waits for later dinners; one still
+        # free may take a table left in this one, and those needing it are
+        # urgent.  Likewise for suppliers.
+        for deficits, used, cap, other in ((self.cust_deficit, used_c, sigma, gamma),
+                                           (self.sup_deficit, used_s, gamma, sigma)):
+            cap_later = full_dinners_left * cap
+            if max(deficits) <= cap_later:
+                continue
+            cap_all = cap_later + cap if tables_left else cap_later
+            urgent = 0
+            for k, deficit in enumerate(deficits):
                 if deficit > cap_later:
-                    return False
-            elif deficit > cap_later + cap_now:
+                    if used >> k & 1 or deficit > cap_all:
+                        return False
+                    urgent += 1
+            if urgent > tables_left * other:
                 return False
-            elif deficit > cap_later:
-                urgent += 1
-        if urgent > tables_left * inst.gamma:
-            return False
         return True
-
-    def _mid_dinner_sup_ok(self, full_dinners_left: int, tables_left: int, used_s: int) -> bool:
-        if not self.prune:
-            return True
-        inst = self.inst
-        cap_later = full_dinners_left * inst.gamma
-        cap_now = inst.gamma * min(tables_left, 1)
-        urgent = 0
-        for i, deficit in enumerate(self.sup_deficit):
-            if used_s >> i & 1:
-                if deficit > cap_later:
-                    return False
-            elif deficit > cap_later + cap_now:
-                return False
-            elif deficit > cap_later:
-                urgent += 1
-        if urgent > tables_left * inst.sigma:
-            return False
-        return True
-
-    def _place(self, sups: list[int], custs: list[int], cmask: int) -> None:
-        smask_bits = 0
-        for i in sups:
-            smask_bits |= 1 << i
-        ncust = len(custs)
-        nsup = len(sups)
-        for i in sups:
-            self.met[i] |= cmask
-            self.sup_deficit[i] -= ncust
-            self.pair_used[i] |= smask_bits & ~(1 << i)
-        for k in custs:
-            self.cust_deficit[k] -= nsup
-        self.unmet -= nsup * ncust
-        self.pairs_free -= nsup * (nsup - 1) // 2
-        self.dinners[-1].append((tuple(x + 1 for x in sups), tuple(x + 1 for x in custs)))
-
-    def _unplace(self, sups: list[int], custs: list[int], cmask: int) -> None:
-        smask_bits = 0
-        for i in sups:
-            smask_bits |= 1 << i
-        ncust = len(custs)
-        nsup = len(sups)
-        for i in sups:
-            self.met[i] &= ~cmask
-            self.sup_deficit[i] += ncust
-            self.pair_used[i] &= ~(smask_bits & ~(1 << i))
-        for k in custs:
-            self.cust_deficit[k] += nsup
-        self.unmet += nsup * ncust
-        self.pairs_free += nsup * (nsup - 1) // 2
-        self.dinners[-1].pop()
 
     def _succeed(self) -> None:
-        inst = self.inst
-        built = [
-            Dinner.of(
-                TableSeating(frozenset(sups), frozenset(custs)) for sups, custs in tabs
-            )
-            for tabs in self.dinners
-            if tabs
-        ]
-        self.witness = Schedule.of(inst, built)
+        by_dinner: list[list[TableSeating]] = []
+        for d, sups, custs in self.placed:
+            if d == len(by_dinner):
+                by_dinner.append([])
+            by_dinner[d].append(TableSeating(frozenset(i + 1 for i in sups),
+                                             frozenset(k + 1 for k in custs)))
+        self.witness = Schedule.of(self.inst, (Dinner.of(tabs) for tabs in by_dinner))
         raise _Found
 
     def run(self) -> Schedule | None:
         if self.unmet == 0:  # cannot happen for valid instances (s, c >= 1)
             return Schedule.of(self.inst, [])
+        if not self._capacity_ok(self.d_max):
+            return None
+        stack = [self._frame(0, 0, 0, 0, 0, 0)]
+        push, pop = stack.append, stack.pop
         try:
-            self._next_dinner(0, None)
+            while stack:
+                for child in stack[-1]:
+                    push(child)
+                    break
+                else:
+                    pop()
         except _Found:
             return self.witness
         return None
 
-    def _next_dinner(self, d: int, prev_first_key) -> None:
-        if self.unmet == 0:
-            self._succeed()
-        if d >= self.d_max:
-            return
-        if not self._capacity_ok(self.d_max - d):
-            return
-        self.dinners.append([])
-        self._extend(d, prev_first_key, None, 0, 0, 0)
-        self.dinners.pop()
+    def _frame(self, d: int, n: int, lo: int, first: int, used_s: int, used_c: int):
+        """Place table n+1 of dinner d+1 with a key above lo, in every way.
 
-    def _extend(self, d: int, prev_first_key, last_key,
-                used_s: int, used_c: int, n_tables: int) -> None:
-        inst = self.inst
-        if n_tables >= 1:
-            if self.unmet == 0:
-                self._succeed()
-            first_key = (self.dinners[-1][0][0], self.dinners[-1][0][1])
-            self._next_dinner(d + 1, first_key if d + 1 >= 2 else prev_first_key)
-        if n_tables >= inst.t:
-            return
-        full_left = self.d_max - d - 1
-        if d == 0 and n_tables == 0:
-            # Prefix-block first table, by the relabeling argument.
-            for a in range(1, min(inst.sigma, inst.s) + 1):
-                sups = list(range(a))
-                smask = (1 << a) - 1
-                for b in range(1, min(inst.gamma, inst.c) + 1):
-                    custs = list(range(b))
-                    cmask = (1 << b) - 1
-                    self._tick()
-                    self._place(sups, custs, cmask)
-                    if self._mid_dinner_ok(full_left, inst.t - 1, cmask) and \
-                            self._mid_dinner_sup_ok(full_left, inst.t - 1, smask):
-                        self._extend(d, prev_first_key,
-                                     (tuple(range(1, a + 1)), tuple(range(1, b + 1))),
-                                     smask, cmask, 1)
-                    self._unplace(sups, custs, cmask)
-            return
-        floor_key = None
-        if n_tables == 0 and d >= 2 and prev_first_key is not None:
-            floor_key = prev_first_key
-        for sups, custs, cmask, key in self._tables(used_s, used_c, last_key, floor_key):
-            self._tick()
-            self._place(sups, custs, cmask)
-            smask = 0
-            for i in sups:
-                smask |= 1 << i
-            if self._mid_dinner_ok(full_left, inst.t - n_tables - 1, used_c | cmask) and \
-                    self._mid_dinner_sup_ok(full_left, inst.t - n_tables - 1, used_s | smask):
-                self._extend(d, prev_first_key, key, used_s | smask, used_c | cmask,
-                             n_tables + 1)
-            self._unplace(sups, custs, cmask)
-
-    def _tables(self, used_s: int, used_c: int, last_key, floor_key):
-        """Candidate tables in increasing canonical key order.
-
-        Only suppliers/customers free this dinner; all supplier pairs unused;
-        every seated customer unmet with every seated supplier.
+        first is the key of the dinner's first table (0 while n is 0).  A
+        generator: it yields the frame of each child (first the next dinner,
+        once this one has a table, then each placement) and undoes the
+        placement when the driver resumes it.
         """
         inst = self.inst
-        s = inst.s
-        lo = last_key if last_key is not None else floor_key
+        d_max = self.d_max
+        if n:
+            if not self.unmet:
+                self._succeed()
+            if d + 1 < d_max and self._capacity_ok(d_max - d - 1):
+                # From the third dinner on, first tables rise strictly (equal
+                # keys would repeat meetings), so dinners come sorted.
+                yield self._frame(d + 1, 0, first if d else 0, 0, 0, 0)
+            if n >= inst.t:
+                return
+        prune = self.prune
+        full_left = d_max - d - 1
+        tables_left = inst.t - n - 1
+        met, sup_def, cust_def, placed = self.met, self.sup_deficit, self.cust_deficit, self.placed
+        unmet, pairs, pairs_free = self.unmet, self.pairs, self.pairs_free
+        node_cap, deadline = self.node_cap, self.deadline
+        if d == 0 and n == 0:
+            tables = self.keys.prefix_block  # by the relabeling argument
+        else:
+            tables = self._tables(used_s, used_c, lo)
+        for key, sups, smask, tbits, custs, cmask in tables:
+            nodes = self.nodes + 1
+            self.nodes = nodes
+            if nodes > node_cap:
+                raise _Budget
+            if deadline is not None and not nodes & 4095 and time.monotonic() > deadline:
+                raise _Budget
+            nsup, ncust = len(sups), len(custs)
+            for i in sups:
+                met[i] |= cmask
+                sup_def[i] -= ncust
+            for k in custs:
+                cust_def[k] -= nsup
+            self.unmet = unmet - nsup * ncust
+            self.pairs_free = pairs_free - nsup * (nsup - 1) // 2
+            self.pairs = pairs | tbits
+            placed.append((d, sups, custs))
+            if not prune or self._mid_dinner_ok(full_left, tables_left,
+                                                used_s | smask, used_c | cmask):
+                yield self._frame(d, n + 1, key, first or key, used_s | smask, used_c | cmask)
+            for i in sups:
+                met[i] ^= cmask
+                sup_def[i] += ncust
+            for k in custs:
+                cust_def[k] += nsup
+            placed.pop()
+        self.unmet, self.pairs, self.pairs_free = unmet, pairs, pairs_free
 
-        def sup_sets(start: int, chosen: list[int], allowed_pairs: int, common: int):
-            for i in range(start, s):
-                if used_s >> i & 1:
-                    continue
-                if chosen and not (allowed_pairs >> i & 1):
-                    continue
-                new_common = common & ~self.met[i]
-                if not new_common:
-                    continue
-                chosen.append(i)
-                yield chosen, new_common
-                if len(chosen) < inst.sigma:
-                    yield from sup_sets(
-                        i + 1, chosen, allowed_pairs & ~self.pair_used[i], new_common
-                    )
-                chosen.pop()
+    def _tables(self, used_s: int, used_c: int, lo: int):
+        """Candidate tables with keys above lo, in increasing key order.
 
-        avail_c = self.all_c & ~used_c
-        for chosen, common in sup_sets(0, [], (1 << s) - 1, avail_c):
-            sups = list(chosen)
-            skey = tuple(i + 1 for i in sups)
-            if lo is not None and skey < lo[0]:
-                continue  # every key with this supplier tuple sits below the floor
-            cand = common
-
-            def cust_sets(start_bit: int, picked: list[int], mask: int):
-                bits = cand >> start_bit
-                k = start_bit
-                while bits:
-                    if bits & 1:
-                        picked.append(k)
-                        yield picked, mask | (1 << k)
-                        if len(picked) < inst.gamma:
-                            yield from cust_sets(k + 1, picked, mask | (1 << k))
-                        picked.pop()
-                    bits >>= 1
-                    k += 1
-
-            for picked, cmask in cust_sets(0, [], 0):
-                key = (skey, tuple(k + 1 for k in picked))
-                if last_key is not None and key <= last_key:
+        Only suppliers/customers free this dinner; all supplier pairs unused;
+        every seated customer unmet with every seated supplier.  Both walks
+        go in preorder over the set bits of the members still allowed, and a
+        prefix that fails, or whose subtree holds no key above lo, is passed
+        over with its subtree: the conditions only get stricter below it.
+        """
+        keys = self.keys
+        s, sigma, gamma = self.inst.s, keys.sigma, keys.gamma
+        sup_shift, sup_low, cust_shift, cust_low = (keys.sup_shift, keys.sup_low,
+                                                    keys.cust_shift, keys.cust_low)
+        met, pairs = self.met, self.pairs
+        # Suppliers: rem holds those still to try at depth j; starts has bit
+        # i*s set for each chosen i, and tbits the pairs among them.
+        rem, skey, smask, starts, tbits, sups, common = (
+            keys.all_s & ~used_s, 0, 0, 0, 0, (), keys.all_c & ~used_c)
+        sup_stack = []
+        j = 0
+        while True:
+            if not rem:
+                if not sup_stack:
+                    return
+                rem, skey, smask, starts, tbits, sups, common = sup_stack.pop()
+                j -= 1
+                continue
+            low = rem & -rem
+            rem ^= low
+            i = low.bit_length() - 1
+            key = skey | (i + 1) << sup_shift[j]
+            if key | sup_low[j] <= lo:
+                continue
+            cm = common & ~met[i]
+            if not cm:
+                continue
+            nsmask, nsups = smask | low, sups + (i,)
+            ntbits = tbits | smask << (i * s) | starts << i
+            # Customers: the same walk over the common unmet ones.
+            crem, ckey, cmask, custs = cm, key, 0, ()
+            cust_stack = []
+            jc = 0
+            while True:
+                if not crem:
+                    if not cust_stack:
+                        break
+                    crem, ckey, cmask, custs = cust_stack.pop()
+                    jc -= 1
                     continue
-                if floor_key is not None and key <= floor_key:
-                    # Equal keys cannot recur (the meetings would repeat), so
-                    # sorted dinners have strictly increasing first tables.
+                clow = crem & -crem
+                crem ^= clow
+                k = clow.bit_length() - 1
+                kkey = ckey | (k + 1) << cust_shift[jc]
+                if kkey | cust_low[jc] <= lo:
                     continue
-                yield sups, picked, cmask, key
+                kmask, kcusts = cmask | clow, custs + (k,)
+                if kkey > lo:
+                    yield kkey, nsups, nsmask, ntbits, kcusts, kmask
+                if crem and jc + 1 < gamma:
+                    cust_stack.append((crem, ckey, cmask, custs))
+                    ckey, cmask, custs = kkey, kmask, kcusts
+                    jc += 1
+            if j + 1 < sigma:
+                # Row i of the pair mask, read through rem's low s bits.
+                nrem = rem & ~(pairs >> (i * s))
+                if nrem:
+                    sup_stack.append((rem, skey, smask, starts, tbits, sups, common))
+                    rem, skey, smask, starts, tbits, sups, common = (
+                        nrem, key, nsmask, starts | 1 << (i * s), ntbits, nsups, cm)
+                    j += 1
 
 
 def _upper_limit(inst: Instance) -> int:
@@ -365,12 +385,13 @@ def solve_exact(
     )
     cap = limits.max_dinners if limits.max_dinners is not None else _upper_limit(inst)
     start = bounds.lb_best(inst) if prune else 1
+    keys = _Keys(inst)
     nodes = 0
     cut = False
     clean_prefix = True
     proven_lb = start
     for d_max in range(start, cap + 1):
-        level = _Level(inst, d_max, prune, node_cap, deadline, 0)
+        level = _Level(inst, keys, d_max, prune, node_cap, deadline)
         try:
             witness = level.run()
         except _Budget:

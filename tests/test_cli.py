@@ -105,6 +105,13 @@ def test_solve_command(capsys):
     assert "status=Optimal value=2" in out
 
 
+def test_solve_deep_instance_without_traceback(capsys):
+    code, out, err = run(capsys, "solve", "1", "30", "40", "1", "1", "--budget", "50000")
+    assert code == 0
+    assert out.startswith("status=Optimal value=1200 ")
+    assert "Traceback" not in err
+
+
 def test_solve_budget_exit_code(capsys):
     code, out, _ = run(capsys, "solve", "2", "5", "5", "2", "2", "--budget", "50", "--max-dinners", "4")
     assert code == 5

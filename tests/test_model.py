@@ -24,6 +24,7 @@ from dinners.model import (
     ScheduleStructureError,
     ScheduleSyntaxError,
     TableSeating,
+    ValidationReport,
     decode_schedule,
     encode_schedule,
     group_customers,
@@ -214,3 +215,90 @@ def test_encode_is_json_dumps_with_indent(sched):
     text = encode_schedule(sched)
     assert text == reference
     assert decode_schedule(text) == sched
+
+
+def dict_validator(sched: Schedule) -> tuple:
+    """The validator's report, computed with a dict keyed by every pair."""
+    inst = sched.instance
+    violations = []
+    meet_count = {}
+    sup_pair_count = {}
+    for d, dinner in enumerate(sched.dinners, start=1):
+        if len(dinner.tables) > inst.t:
+            violations.append((TABLE_COUNT_EXCEEDED, f"dinner {d} uses {len(dinner.tables)} tables > t={inst.t}"))
+        seen_sups, seen_custs = set(), set()
+        for x, table in enumerate(dinner.tables, start=1):
+            if len(table.suppliers) > inst.sigma:
+                violations.append((SUPPLIER_CAP_EXCEEDED, f"dinner {d} table {x} seats "
+                                   f"{len(table.suppliers)} suppliers > sigma={inst.sigma}"))
+            if len(table.customers) > inst.gamma:
+                violations.append((CUSTOMER_CAP_EXCEEDED, f"dinner {d} table {x} seats "
+                                   f"{len(table.customers)} customers > gamma={inst.gamma}"))
+            for i in table.suppliers:
+                if not 1 <= i <= inst.s:
+                    violations.append((ID_OUT_OF_RANGE, f"dinner {d} table {x}: supplier {i} not in 1..{inst.s}"))
+                if i in seen_sups:
+                    violations.append((PERSON_AT_TWO_TABLES, f"dinner {d}: supplier {i} sits at two tables"))
+            for k in table.customers:
+                if not 1 <= k <= inst.c:
+                    violations.append((ID_OUT_OF_RANGE, f"dinner {d} table {x}: customer {k} not in 1..{inst.c}"))
+                if k in seen_custs:
+                    violations.append((PERSON_AT_TWO_TABLES, f"dinner {d}: customer {k} sits at two tables"))
+            seen_sups.update(table.suppliers)
+            seen_custs.update(table.customers)
+            for i in table.suppliers:
+                for k in table.customers:
+                    meet_count[i, k] = meet_count.get((i, k), 0) + 1
+            sups = sorted(table.suppliers)
+            for a in range(len(sups)):
+                for b in range(a + 1, len(sups)):
+                    sup_pair_count[sups[a], sups[b]] = sup_pair_count.get((sups[a], sups[b]), 0) + 1
+    for i in range(1, inst.s + 1):
+        for k in range(1, inst.c + 1):
+            n = meet_count.get((i, k), 0)
+            if n == 0:
+                violations.append((PAIR_MISSING, f"supplier {i} and customer {k} never meet"))
+            elif n > 1:
+                violations.append((PAIR_REPEATED, f"supplier {i} and customer {k} meet {n} times"))
+    for (i, j), n in sorted(sup_pair_count.items()):
+        if n > 1:
+            violations.append((SUPPLIER_PAIR_REPEATED, f"suppliers {i} and {j} share a table {n} times"))
+    return tuple(violations)
+
+
+@st.composite
+def broken_schedules(draw) -> Schedule:
+    """A feasible sigma=gamma=1 schedule, then up to five random breaks.
+
+    Supplier i meets customer k in dinner (i + k) mod max(s, c).  A break
+    drops or duplicates a dinner, adds a table, or seats extra people at a
+    table, with ids that may lie outside 1..s or 1..c, zero and negatives too.
+    """
+    s, c = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    n = max(s, c)
+    dinners = [[[{i}, {k}] for i in range(1, s + 1) for k in range(1, c + 1) if (i + k) % n == r]
+               for r in range(n)]
+    sup_ids, cust_ids = st.integers(-2, s + 2), st.integers(-2, c + 2)
+    for _ in range(draw(st.integers(0, 5))):
+        kind = draw(st.sampled_from(["drop", "duplicate", "extra_table", "oversize"]))
+        if not dinners:
+            dinners.append([])
+        d = draw(st.integers(0, len(dinners) - 1))
+        if kind == "drop":
+            del dinners[d]
+        elif kind == "duplicate":
+            dinners.append([[set(sups), set(custs)] for sups, custs in dinners[d]])
+        elif kind == "extra_table" or not dinners[d]:
+            dinners[d].append([draw(st.sets(sup_ids, max_size=3)), draw(st.sets(cust_ids, max_size=3))])
+        else:
+            sups, custs = draw(st.sampled_from(dinners[d]))
+            sups |= draw(st.sets(sup_ids, max_size=2))
+            custs |= draw(st.sets(cust_ids, max_size=2))
+    inst = Instance(min(s, c), s, c, draw(st.integers(1, 3)), draw(st.integers(1, 3)))
+    return Schedule.of(inst, [Dinner.of(TableSeating.of(*tab) for tab in tables) for tables in dinners])
+
+
+@given(sched=broken_schedules())
+def test_validator_matches_the_dict_reference(sched):
+    want = dict_validator(sched)
+    assert validate_schedule(sched) == ValidationReport(feasible=not want, violations=want)

@@ -1,6 +1,8 @@
 """Exact solver: certified optima, statuses, determinism, oracle agreement."""
 
+import hashlib
 import random
+import time
 from itertools import product
 
 import pytest
@@ -8,7 +10,7 @@ import pytest
 from dinners.bounds import lb_best
 from dinners.constructions import build_prime, build_trivial, load_example_schedule
 from dinners.howell import SearchBudgetExceeded
-from dinners.model import Instance, validate_schedule
+from dinners.model import Instance, encode_schedule, validate_schedule
 from dinners.solver import (
     BUDGET_EXHAUSTED,
     FEASIBLE_ONLY,
@@ -119,3 +121,50 @@ def test_witness_values_match_closed_forms():
     ]:
         res = solve_exact(Instance(*cell), SolveLimits(node_budget=2_000_000))
         assert res.status == OPTIMAL and res.value == expected, cell
+
+
+# (cell, node budget per level, max_dinners, prune): status, value, nodes,
+# lower bound and a digest of the witness's JSON, as the recursive search
+# returned them before its rewrite.  Any change to the tree, its order or its
+# node count shows here.
+PINNED_SOLVES = [
+    ((2, 5, 6, 2, 3), 2_000_000, None, True, OPTIMAL, 3, 1118, 3, "281cdcba61a2fae5"),
+    ((2, 4, 4, 2, 2), 20_000, None, True, OPTIMAL, 3, 7904, 3, "06839a6557564bbf"),
+    ((3, 5, 4, 2, 2), 20_000, None, True, OPTIMAL, 3, 17118, 3, "24daa10987fca3e0"),
+    ((1, 3, 5, 2, 1), 20_000, None, True, OPTIMAL, 12, 5683, 12, "0111288a89359bf6"),
+    ((1, 4, 5, 2, 1), 2_000, None, True, FEASIBLE_ONLY, 18, 9679, 14, "970a801d714766f7"),
+    ((1, 3, 5, 2, 2), 2_000, None, True, BUDGET_EXHAUSTED, None, 8004, 6, None),
+    ((2, 4, 2, 2, 1), 1_000_000, 2, True, INFEASIBLE_AT_BOUND, None, 9, 3, None),
+    ((1, 5, 4, 2, 3), 20_000, 5, True, INFEASIBLE_AT_BOUND, None, 5059, 6, None),
+    ((2, 3, 3, 2, 1), 2_000_000, None, False, OPTIMAL, 4, 2903, 4, "12e7b2ca7f5609bb"),
+    ((1, 3, 4, 1, 2), 2_000_000, None, False, OPTIMAL, 6, 27627, 6, "d2df5702158abb60"),
+]
+
+
+@pytest.mark.parametrize("cell, budget, max_dinners, prune, status, value, nodes, lb, digest",
+                         PINNED_SOLVES)
+def test_search_tree_is_pinned(cell, budget, max_dinners, prune, status, value, nodes, lb, digest):
+    res = solve_exact(Instance(*cell), SolveLimits(max_dinners=max_dinners, node_budget=budget),
+                      prune=prune)
+    assert (res.status, res.value, res.nodes, res.lower_bound) == (status, value, nodes, lb)
+    if digest is None:
+        assert res.witness is None
+    else:
+        assert hashlib.sha256(encode_schedule(res.witness).encode()).hexdigest()[:16] == digest
+        assert validate_schedule(res.witness).feasible
+
+
+def test_search_depth_is_not_bounded_by_the_recursion_limit():
+    # 1200 tables, one a dinner, stacked on one branch of the search.
+    res = solve_exact(Instance(1, 30, 40, 1, 1))
+    assert res.status == OPTIMAL and res.value == 1200
+    assert validate_schedule(res.witness).feasible
+
+
+def test_mid_scale_level_enumerates_lazily():
+    # A table of every customer subset of size <= 4 would hold ~4M entries.
+    inst = Instance(10, 50, 100, 3, 4)
+    start = time.monotonic()
+    res = solve_exact(inst, SolveLimits(node_budget=2000, max_dinners=lb_best(inst)))
+    assert time.monotonic() - start < 2.0
+    assert res.status == BUDGET_EXHAUSTED and res.nodes == 2001
