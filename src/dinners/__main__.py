@@ -1,0 +1,8 @@
+"""``python -m dinners``: the same command line as the ``dinners`` script."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

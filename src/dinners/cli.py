@@ -15,7 +15,14 @@ import sys
 from . import bounds
 from .constructions import ConstructionError
 from .howell import DEFAULT_NODE_BUDGET, SearchBudgetExceeded
-from .model import Instance, ScheduleDecodeError, decode_schedule, encode_schedule, validate_schedule
+from .model import (
+    PAIR_MISSING,
+    Instance,
+    ScheduleDecodeError,
+    decode_schedule,
+    encode_schedule,
+    validate_schedule,
+)
 from .solver import (
     BUDGET_EXHAUSTED,
     INFEASIBLE_AT_BOUND,
@@ -111,7 +118,7 @@ def cmd_build(args) -> int:
     report = validate_schedule(sched)
     if not report.feasible:
         print(f"error: the {args.strategy} strategy built an infeasible schedule "
-              f"({len(report.violations)} violation(s))", file=sys.stderr)
+              f"({report.total} violation(s))", file=sys.stderr)
         return EXIT_SEMANTIC
     text = encode_schedule(sched)
     if args.out and args.out != "-":
@@ -126,10 +133,13 @@ def cmd_build(args) -> int:
 
 def cmd_validate(args) -> int:
     try:
-        with open(args.file) as fh:
+        with open(args.file, encoding="utf-8") as fh:
             text = fh.read()
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)
+        return EXIT_PARSE
+    except UnicodeDecodeError as e:
+        print(f"parse error: not UTF-8 text: {e}", file=sys.stderr)
         return EXIT_PARSE
     try:
         sched = decode_schedule(text)
@@ -140,9 +150,11 @@ def cmd_validate(args) -> int:
     if report.feasible:
         print(f"feasible: {sched.dinner_count()} dinners")
         return EXIT_OK
-    print(f"infeasible: {len(report.violations)} violation(s)")
+    print(f"infeasible: {report.total} violation(s)")
     for kind, detail in report.violations:
         print(f"  {kind}: {detail}")
+    if report.unlisted_missing:
+        print(f"  (and {report.unlisted_missing} more {PAIR_MISSING} not listed)")
     return EXIT_SEMANTIC
 
 

@@ -9,6 +9,7 @@ most ``sigma`` suppliers and ``gamma`` customers.  All ids are 1-based.
 from __future__ import annotations
 
 import json
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -21,6 +22,10 @@ PAIR_MISSING = "PairMissing"
 PAIR_REPEATED = "PairRepeated"
 SUPPLIER_PAIR_REPEATED = "SupplierPairRepeated"
 ID_OUT_OF_RANGE = "IdOutOfRange"
+
+# validate_schedule lists this many PairMissing violations at most and counts
+# the rest; every other kind is listed in full.
+MAX_PAIRS_MISSING_LISTED = 10_000
 
 
 class ScheduleDecodeError(ValueError):
@@ -111,8 +116,20 @@ class CustomerGrouping:
 
 @dataclass(frozen=True)
 class ValidationReport:
+    """Every violation found, and how many ``PairMissing`` ones are not listed.
+
+    ``violations`` lists at most ``MAX_PAIRS_MISSING_LISTED`` of them, so the
+    report of an empty schedule stays small however large s*c is.
+    """
+
     feasible: bool
     violations: tuple[tuple[str, str], ...]
+    unlisted_missing: int = 0
+
+    @property
+    def total(self) -> int:
+        """The number of violations, listed or not."""
+        return len(self.violations) + self.unlisted_missing
 
     def kinds(self) -> set[str]:
         return {kind for kind, _ in self.violations}
@@ -138,12 +155,15 @@ def validate_schedule(sched: Schedule) -> ValidationReport:
     Checks: per-dinner table count, per-table caps, one table per person per
     dinner, every supplier-customer pair met exactly once, supplier pairs
     co-seated at most once, and id ranges.  People may skip dinners entirely.
+    Memory grows with the schedule and its largest customer id, not with
+    s*c: suppliers who meet no one hold no state, and PairMissing is listed
+    only up to its cap.
     """
     inst = sched.instance
     t, s, c, sigma, gamma = inst.t, inst.s, inst.c, inst.sigma, inst.gamma
     violations: list[tuple[str, str]] = []
-    met = [0] * (s + 1)  # met[i]: bit k set once supplier i has met customer k
-    met_again = [0] * (s + 1)  # the same, for customers met twice or more
+    met: defaultdict[int, int] = defaultdict(int)  # met[i]: bit k set once supplier i has met customer k
+    met_again: defaultdict[int, int] = defaultdict(int)  # the same, for customers met twice or more
     repeats: dict[tuple[int, int], int] = {}  # (i, k): meetings, for the pairs in met_again
     sup_pair_count: dict[tuple[int, int], int] = {}
 
@@ -154,7 +174,8 @@ def validate_schedule(sched: Schedule) -> ValidationReport:
         seen_custs: set[int] = set()
         for x, table in enumerate(dinner.tables, start=1):
             sups, custs = table.suppliers, table.customers
-            if len(sups) > sigma:
+            n_sups = len(sups)
+            if n_sups > sigma:
                 violations.append(
                     (SUPPLIER_CAP_EXCEEDED, f"dinner {d} table {x} seats {len(sups)} suppliers > sigma={sigma}")
                 )
@@ -175,8 +196,8 @@ def validate_schedule(sched: Schedule) -> ValidationReport:
                     table_custs |= 1 << k
                 if k in seen_custs:
                     violations.append((PERSON_AT_TWO_TABLES, f"dinner {d}: customer {k} sits at two tables"))
-            seen_sups.update(sups)
-            seen_custs.update(custs)
+            seen_sups |= sups
+            seen_custs |= custs
             # Meetings are counted for ids in range only, which are the ones
             # reported below.
             for i in sups:
@@ -187,27 +208,44 @@ def validate_schedule(sched: Schedule) -> ValidationReport:
                         met_again[i] |= again
                         for k in _bit_positions(again):
                             repeats[i, k] = repeats.get((i, k), 1) + 1
-            if len(sups) > 1:
+            if n_sups > 1:
                 ordered = sorted(sups)
                 for a in range(len(ordered)):
                     for b in range(a + 1, len(ordered)):
                         pair = (ordered[a], ordered[b])
                         sup_pair_count[pair] = sup_pair_count.get(pair, 0) + 1
 
-    all_custs = (1 << c + 1) - 2
-    for i in range(1, s + 1):
-        missing = all_custs & ~met[i]
-        for k in _bit_positions(missing | met_again[i]):
+    # Pair violations go in (supplier, customer) order.  While PairMissing
+    # may still be listed, suppliers are walked one by one; the first `room`
+    # customers a supplier has not met are all at most room + (customers met).
+    unlisted = s * c - sum(m.bit_count() for m in met.values())
+    room = MAX_PAIRS_MISSING_LISTED
+    i = 1
+    while room and i <= s:
+        was = met.get(i, 0)
+        top = min(c, room + was.bit_count())
+        missing = (1 << top + 1) - 2 & ~was
+        for k in _bit_positions(missing | met_again.get(i, 0)):
             n = repeats.get((i, k))
-            if n is None:
-                violations.append((PAIR_MISSING, f"supplier {i} and customer {k} never meet"))
-            else:
+            if n is not None:
                 violations.append((PAIR_REPEATED, f"supplier {i} and customer {k} meet {n} times"))
+            elif room:
+                violations.append((PAIR_MISSING, f"supplier {i} and customer {k} never meet"))
+                room -= 1
+                unlisted -= 1
+        i += 1
+    # Then only the suppliers with repeated pairs are left to list.
+    for j in sorted(met_again):
+        if j >= i:
+            for k in _bit_positions(met_again[j]):
+                n = repeats[j, k]
+                violations.append((PAIR_REPEATED, f"supplier {j} and customer {k} meet {n} times"))
     for (i, j), n in sorted(sup_pair_count.items()):
         if n > 1:
             violations.append((SUPPLIER_PAIR_REPEATED, f"suppliers {i} and {j} share a table {n} times"))
 
-    return ValidationReport(feasible=not violations, violations=tuple(violations))
+    return ValidationReport(feasible=not violations and not unlisted, violations=tuple(violations),
+                            unlisted_missing=unlisted)
 
 
 def _bit_positions(mask: int) -> list[int]:
@@ -269,15 +307,39 @@ def _id_list(raw, where: str) -> list[int]:
     return ids
 
 
+_TABLE_KEYS = {"suppliers", "customers"}
+
+
+def _checked_table(raw_table, where: str, inst: Instance) -> TableSeating:
+    """Every check on one table, in order; the first that fails raises its error."""
+    if not isinstance(raw_table, dict):
+        raise ScheduleStructureError(f"{where} must be an object")
+    _require_keys(raw_table, _TABLE_KEYS, where)
+    sups = _id_list(raw_table["suppliers"], where)
+    custs = _id_list(raw_table["customers"], where)
+    if not sups and not custs:
+        raise ScheduleStructureError(f"{where} is completely empty")
+    for i in sups:
+        if not 1 <= i <= inst.s:
+            raise ScheduleRangeError(f"{where}: supplier id {i} not in 1..{inst.s}")
+    for k in custs:
+        if not 1 <= k <= inst.c:
+            raise ScheduleRangeError(f"{where}: customer id {k} not in 1..{inst.c}")
+    return TableSeating.of(sups, custs)
+
+
 def decode_schedule(text: str) -> Schedule:
     """Parse the canonical JSON format back into a Schedule.
 
-    Raises ScheduleSyntaxError for bad JSON, ScheduleStructureError for
+    Raises ScheduleSyntaxError for bad JSON (nesting too deep and integers
+    too long to convert included), ScheduleStructureError for
     missing/extra/ill-typed fields, ScheduleRangeError for out-of-range ids.
     """
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as e:
+    except RecursionError as e:
+        raise ScheduleSyntaxError(f"JSON nested too deeply: {e}") from e
+    except ValueError as e:  # JSONDecodeError, or an integer past the digit limit
         raise ScheduleSyntaxError(f"not valid JSON: {e}") from e
     if not isinstance(obj, dict):
         raise ScheduleStructureError("top level must be a JSON object")
@@ -290,30 +352,40 @@ def decode_schedule(text: str) -> Schedule:
         if not isinstance(v, int) or isinstance(v, bool) or v < 1:
             raise ScheduleStructureError(f"instance.{name} must be a positive integer, got {v!r}")
     inst = Instance(**raw_inst)
+    s, c = inst.s, inst.c
 
     raw_dinners = obj["dinners"]
     if not isinstance(raw_dinners, list):
         raise ScheduleStructureError("dinners must be an array")
     dinners = []
-    for d, raw_dinner in enumerate(raw_dinners, start=1):
+    for d in range(1, len(raw_dinners) + 1):
+        # Each dinner's parsed JSON is let go once read, so the whole file and
+        # the whole schedule are never held at once, nor scanned by the
+        # cyclic garbage collector.
+        raw_dinner, raw_dinners[d - 1] = raw_dinners[d - 1], None
         if not isinstance(raw_dinner, list):
             raise ScheduleStructureError(f"dinner {d} must be an array of tables")
         tables = []
-        for x, raw_table in enumerate(raw_dinner, start=1):
-            where = f"dinner {d} table {x}"
-            if not isinstance(raw_table, dict):
-                raise ScheduleStructureError(f"{where} must be an object")
-            _require_keys(raw_table, {"suppliers", "customers"}, where)
-            sups = _id_list(raw_table["suppliers"], where)
-            custs = _id_list(raw_table["customers"], where)
-            if not sups and not custs:
-                raise ScheduleStructureError(f"{where} is completely empty")
-            for i in sups:
-                if not 1 <= i <= inst.s:
-                    raise ScheduleRangeError(f"{where}: supplier id {i} not in 1..{inst.s}")
-            for k in custs:
-                if not 1 <= k <= inst.c:
-                    raise ScheduleRangeError(f"{where}: customer id {k} not in 1..{inst.c}")
-            tables.append(TableSeating.of(sups, custs))
-        dinners.append(Dinner.of(tables))
-    return Schedule.of(inst, dinners)
+        for raw_table in raw_dinner:
+            # One pass accepts a well-formed table: json.loads makes no
+            # subclasses, so the type tests match _checked_table's, and the
+            # frozensets' lengths find duplicates.  Any other table goes
+            # through _checked_table, which raises the first check it fails.
+            if type(raw_table) is dict and raw_table.keys() == _TABLE_KEYS:
+                sups, custs = raw_table["suppliers"], raw_table["customers"]
+                if type(sups) is list and type(custs) is list:
+                    for v in sups:
+                        if type(v) is not int or not 0 < v <= s:
+                            break
+                    else:
+                        for v in custs:
+                            if type(v) is not int or not 0 < v <= c:
+                                break
+                        else:
+                            sup_set, cust_set = frozenset(sups), frozenset(custs)
+                            if len(sup_set) == len(sups) and len(cust_set) == len(custs) and (sups or custs):
+                                tables.append(TableSeating(sup_set, cust_set))
+                                continue
+            tables.append(_checked_table(raw_table, f"dinner {d} table {len(tables) + 1}", inst))
+        dinners.append(Dinner(tuple(tables)))
+    return Schedule(inst, tuple(dinners))

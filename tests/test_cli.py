@@ -1,9 +1,15 @@
 """Command-line surface: outputs, exit codes, file round-trips."""
 
 import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import dinners
 from dinners.cli import main
 from dinners.constructions import load_example_schedule
 from dinners.model import decode_schedule, encode_schedule, validate_schedule
@@ -94,6 +100,42 @@ def test_validate_infeasible_and_parse_errors(tmp_path, capsys):
 
     code, _, err = run(capsys, "validate", str(tmp_path / "missing.json"))
     assert code == 2
+
+
+@pytest.mark.parametrize("content", [
+    b"[" * 100_000 + b"]" * 100_000,
+    b"\xff\xfe",
+    b'{"instance":{"t":1,"s":' + b"9" * 4301 + b',"c":1,"sigma":1,"gamma":1},"dinners":[]}',
+], ids=["nested_too_deep", "not_utf8", "too_many_digits"])
+def test_validate_unreadable_file_is_a_parse_error(tmp_path, capsys, content):
+    path = tmp_path / "schedule.json"
+    path.write_bytes(content)
+    code, out, err = run(capsys, "validate", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("parse error: ")
+
+
+def test_validate_counts_every_pair_missing_but_lists_a_capped_number(tmp_path, capsys):
+    path = tmp_path / "empty.json"
+    path.write_text('{"instance":{"t":1,"s":100000,"c":100000,"sigma":1,"gamma":1},"dinners":[]}')
+    code, out, _ = run(capsys, "validate", str(path))
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[0] == "infeasible: 10000000000 violation(s)"
+    listed = re.findall(r"^  (\w+): ", out, re.M)
+    assert listed == ["PairMissing"] * 10_000
+    assert lines[-1] == "  (and 9999990000 more PairMissing not listed)"
+    assert len(lines) == 10_002
+
+
+def test_python_m_dinners_runs_the_cli():
+    env_path = str(Path(dinners.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-m", "dinners", "bounds", "1", "8", "8", "1", "1", "--json"],
+                          capture_output=True, text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": env_path})
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["lb_best"] == 64
 
 
 def test_solve_command(capsys):

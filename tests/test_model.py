@@ -2,15 +2,18 @@
 
 import json
 import random
+import time
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from dinners import model
 from dinners.constructions import load_example_schedule
 from dinners.model import (
     CUSTOMER_CAP_EXCEEDED,
     ID_OUT_OF_RANGE,
+    MAX_PAIRS_MISSING_LISTED,
     PAIR_MISSING,
     PAIR_REPEATED,
     PERSON_AT_TWO_TABLES,
@@ -20,6 +23,7 @@ from dinners.model import (
     Dinner,
     Instance,
     Schedule,
+    ScheduleDecodeError,
     ScheduleRangeError,
     ScheduleStructureError,
     ScheduleSyntaxError,
@@ -302,3 +306,181 @@ def broken_schedules(draw) -> Schedule:
 def test_validator_matches_the_dict_reference(sched):
     want = dict_validator(sched)
     assert validate_schedule(sched) == ValidationReport(feasible=not want, violations=want)
+
+
+@pytest.mark.parametrize("s, c, met", [(10**5, 10**5, 0), (1, 10**12, 0), (1, 10**7, 10**7)])
+def test_pair_missing_is_counted_in_full_and_listed_up_to_the_cap(s, c, met):
+    """An empty schedule, or one whose only table seats supplier 1 with customer `met`."""
+    dinners = [Dinner.of([TableSeating.of([1], [met])])] if met else []
+    start = time.perf_counter()
+    report = validate_schedule(Schedule.of(Instance(1, s, c, 1, 1), dinners))
+    elapsed = time.perf_counter() - start
+    assert report.total == s * c - bool(met)
+    assert len(report.violations) == MAX_PAIRS_MISSING_LISTED
+    assert report.unlisted_missing == s * c - bool(met) - MAX_PAIRS_MISSING_LISTED
+    assert report.violations[-1] == (PAIR_MISSING, f"supplier 1 and customer {MAX_PAIRS_MISSING_LISTED} never meet")
+    assert not report.feasible
+    assert elapsed < 2.0
+
+
+@given(sched=broken_schedules(), cap=st.integers(0, 8))
+def test_capped_listing_drops_only_the_pair_missing_past_the_cap(sched, cap):
+    want = dict_validator(sched)
+    missing = [v for v in want if v[0] == PAIR_MISSING]
+    dropped = set(missing[cap:])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(model, "MAX_PAIRS_MISSING_LISTED", cap)
+        report = validate_schedule(sched)
+    assert report.violations == tuple(v for v in want if v not in dropped)
+    assert report.total == len(want)
+    assert report.feasible == (not want)
+
+
+def reference_require_keys(obj: dict, keys: set[str], where: str) -> None:
+    missing = keys - obj.keys()
+    if missing:
+        raise ScheduleStructureError(f"{where}: missing field(s) {sorted(missing)}")
+    extra = obj.keys() - keys
+    if extra:
+        raise ScheduleStructureError(f"{where}: unexpected field(s) {sorted(extra)}")
+
+
+def reference_id_list(raw, where: str) -> list[int]:
+    if not isinstance(raw, list):
+        raise ScheduleStructureError(f"{where}: expected an array of ids")
+    ids = []
+    for v in raw:
+        if not isinstance(v, int) or isinstance(v, bool):
+            raise ScheduleStructureError(f"{where}: id {v!r} is not an integer")
+        ids.append(v)
+    if len(set(ids)) != len(ids):
+        raise ScheduleStructureError(f"{where}: duplicate ids {ids}")
+    return ids
+
+
+def reference_decode(text: str) -> Schedule:
+    """The decoder that checked each table field by field, kept as the reference."""
+    try:
+        obj = json.loads(text)
+    except json.JSONDecodeError as e:
+        raise ScheduleSyntaxError(f"not valid JSON: {e}") from e
+    if not isinstance(obj, dict):
+        raise ScheduleStructureError("top level must be a JSON object")
+    reference_require_keys(obj, {"instance", "dinners"}, "top level")
+    raw_inst = obj["instance"]
+    if not isinstance(raw_inst, dict):
+        raise ScheduleStructureError("instance must be an object")
+    reference_require_keys(raw_inst, {"t", "s", "c", "sigma", "gamma"}, "instance")
+    for name, v in raw_inst.items():
+        if not isinstance(v, int) or isinstance(v, bool) or v < 1:
+            raise ScheduleStructureError(f"instance.{name} must be a positive integer, got {v!r}")
+    inst = Instance(**raw_inst)
+
+    raw_dinners = obj["dinners"]
+    if not isinstance(raw_dinners, list):
+        raise ScheduleStructureError("dinners must be an array")
+    dinners = []
+    for d, raw_dinner in enumerate(raw_dinners, start=1):
+        if not isinstance(raw_dinner, list):
+            raise ScheduleStructureError(f"dinner {d} must be an array of tables")
+        tables = []
+        for x, raw_table in enumerate(raw_dinner, start=1):
+            where = f"dinner {d} table {x}"
+            if not isinstance(raw_table, dict):
+                raise ScheduleStructureError(f"{where} must be an object")
+            reference_require_keys(raw_table, {"suppliers", "customers"}, where)
+            sups = reference_id_list(raw_table["suppliers"], where)
+            custs = reference_id_list(raw_table["customers"], where)
+            if not sups and not custs:
+                raise ScheduleStructureError(f"{where} is completely empty")
+            for i in sups:
+                if not 1 <= i <= inst.s:
+                    raise ScheduleRangeError(f"{where}: supplier id {i} not in 1..{inst.s}")
+            for k in custs:
+                if not 1 <= k <= inst.c:
+                    raise ScheduleRangeError(f"{where}: customer id {k} not in 1..{inst.c}")
+            tables.append(TableSeating.of(sups, custs))
+        dinners.append(Dinner.of(tables))
+    return Schedule.of(inst, dinners)
+
+
+# Values that are not what a field, table, dinner or id list should hold.
+WRONG_VALUES = st.sampled_from([None, True, 1, 1.0, "x", [], {}, [1], {"suppliers": [1]}])
+
+
+@st.composite
+def schedule_texts(draw) -> str:
+    """A schedule file, well-formed or broken by up to three random edits.
+
+    An edit drops a key or adds one, puts a wrong value in place of the
+    instance, a field, the dinner list, a dinner, a table or an id list,
+    swaps an id for one that is a bool, a float, a string, null, zero,
+    negative, out of range or a duplicate, or empties a table.  Edits pick
+    their target from the file as generated, so a later edit may land in a
+    part an earlier one cut off.
+    """
+    s, c = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    def ids(n):
+        return st.lists(st.integers(1, n), unique=True, max_size=3)
+    table = st.fixed_dictionaries({"suppliers": ids(s), "customers": ids(c)}).filter(
+        lambda tab: tab["suppliers"] or tab["customers"])
+    inst = {"t": draw(st.integers(1, 4)), "s": s, "c": c,
+            "sigma": draw(st.integers(1, 3)), "gamma": draw(st.integers(1, 3))}
+    dinners = draw(st.lists(st.lists(table, min_size=1, max_size=3), min_size=1, max_size=4))
+    obj = {"instance": inst, "dinners": dinners}
+    tables = [tab for dinner in dinners for tab in dinner]
+    id_lists = [tab[key] for tab in tables for key in ("suppliers", "customers")]
+    spots = [(obj, "instance"), (obj, "dinners")] + [(inst, name) for name in inst]
+    spots += [(dinners, d) for d in range(len(dinners))]
+    spots += [(dinner, x) for dinner in dinners for x in range(len(dinner))]
+    spots += [(tab, key) for tab in tables for key in ("suppliers", "customers")]
+    for _ in range(draw(st.integers(0, 3))):
+        edit = draw(st.sampled_from(["key", "value", "id", "id", "id", "empty"]))
+        if edit == "key":
+            target = draw(st.sampled_from([obj, inst] + tables))
+            if target and draw(st.booleans()):
+                del target[draw(st.sampled_from(sorted(target)))]
+            else:
+                target[draw(st.sampled_from(["extra", "s", "suppliers"]))] = 1
+        elif edit == "value":
+            container, key = draw(st.sampled_from(spots))
+            container[key] = draw(WRONG_VALUES)
+        elif edit == "id" and id_lists:
+            target = draw(st.sampled_from(id_lists))
+            bad = draw(st.sampled_from([True, "duplicate", False, 1.0, "1", None, 0, -1, max(s, c) + 1]))
+            if bad == "duplicate":
+                target.append(draw(st.sampled_from(target)) if target else 1)
+                target.append(target[-1])
+            elif target:
+                target[draw(st.integers(0, len(target) - 1))] = bad
+            else:
+                target.append(bad)
+        elif edit == "empty" and tables:
+            tab = draw(st.sampled_from(tables))
+            tab["suppliers"], tab["customers"] = [], []
+    return json.dumps(obj)
+
+
+def decoded(decode, text: str):
+    try:
+        return decode(text)
+    except ScheduleDecodeError as e:
+        return type(e), str(e)
+
+
+def table_text(table: str) -> str:
+    """A file whose second table is `table`, after a well-formed first one."""
+    return ('{"instance":{"t":1,"s":2,"c":2,"sigma":2,"gamma":2},'
+            '"dinners":[[{"suppliers":[1],"customers":[2]},' + table + "]]}")
+
+
+@settings(max_examples=500)
+@given(text=schedule_texts())
+@example(text=table_text('{"suppliers":[true],"customers":[1,1]}'))
+@example(text=table_text('{"suppliers":[true],"customers":[]}'))
+@example(text=table_text('{"suppliers":[2],"customers":[1,1]}'))
+@example(text=table_text('{"suppliers":[],"customers":[0]}'))
+@example(text=table_text('{"suppliers":[3],"customers":[1.0],"extra":[]}'))
+@example(text=table_text('{"suppliers":[],"customers":[]}'))
+def test_decoder_matches_the_reference(text):
+    assert decoded(decode_schedule, text) == decoded(reference_decode, text)
