@@ -9,6 +9,7 @@ budget exhausted without a proof.
 from __future__ import annotations
 
 import argparse
+import decimal
 import json
 import sys
 
@@ -62,6 +63,25 @@ def _instance(args) -> Instance:
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         raise SystemExit(EXIT_PARSE)
+
+
+def _write_out(out: str, text: str) -> int:
+    """Write text to the file out, or to standard output when out is '-'."""
+    if out == "-":
+        sys.stdout.write(text)
+        return EXIT_OK
+    try:
+        with open(out, "w") as fh:
+            fh.write(text)
+    except OSError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_PARSE
+    return EXIT_OK
+
+
+def _exact(n: int) -> str:
+    """Decimal digits of n, also past the int-to-str digit limit."""
+    return str(decimal.Decimal(n))
 
 
 def cmd_bounds(args) -> int:
@@ -120,12 +140,8 @@ def cmd_build(args) -> int:
         print(f"error: the {args.strategy} strategy built an infeasible schedule "
               f"({report.total} violation(s))", file=sys.stderr)
         return EXIT_SEMANTIC
-    text = encode_schedule(sched)
-    if args.out and args.out != "-":
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    elif args.out == "-":
-        sys.stdout.write(text)
+    if args.out and _write_out(args.out, encode_schedule(sched)):
+        return EXIT_PARSE
     print(f"dinners={sched.dinner_count()} optimal={'yes' if proven else 'unknown'}"
           + (f" written={args.out}" if args.out and args.out != "-" else ""))
     return EXIT_OK
@@ -150,11 +166,11 @@ def cmd_validate(args) -> int:
     if report.feasible:
         print(f"feasible: {sched.dinner_count()} dinners")
         return EXIT_OK
-    print(f"infeasible: {report.total} violation(s)")
+    print(f"infeasible: {_exact(report.total)} violation(s)")
     for kind, detail in report.violations:
         print(f"  {kind}: {detail}")
     if report.unlisted_missing:
-        print(f"  (and {report.unlisted_missing} more {PAIR_MISSING} not listed)")
+        print(f"  (and {_exact(report.unlisted_missing)} more {PAIR_MISSING} not listed)")
     return EXIT_SEMANTIC
 
 
@@ -175,12 +191,9 @@ def cmd_solve(args) -> int:
           f"proven_lower_bound={result.lower_bound}")
     if result.witness is not None:
         if args.out:
-            text = encode_schedule(result.witness)
-            if args.out == "-":
-                sys.stdout.write(text)
-            else:
-                with open(args.out, "w") as fh:
-                    fh.write(text)
+            if _write_out(args.out, encode_schedule(result.witness)):
+                return EXIT_PARSE
+            if args.out != "-":
                 print(f"witness written to {args.out}")
         else:
             for d, dinner in enumerate(result.witness.dinners, start=1):

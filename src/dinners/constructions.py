@@ -5,6 +5,11 @@ tables (sigma = 1, via equitable edge coloring), the two-suppliers-per-table
 layer backed by Howell designs and four embedded exceptional templates, the
 half-table regime (t = ceil(s/2) with many customer groups), and the prime
 square construction for one table and one customer per table.
+
+Every edge coloring here is of a complete bipartite graph.  Where the
+single-supplier visits still owed are not complete (the half-table regime
+for s = 3, 4), groups whose owed suppliers are disjoint and together cover
+every supplier are merged into one left vertex first (_complete_singles).
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from dataclasses import dataclass
 from importlib import resources
 
 from . import bounds
-from .coloring import color_bipartite_edges
+from .coloring import equitable_bipartite_coloring
 from .howell import DEFAULT_NODE_BUDGET, generate_howell
 from .model import CustomerGrouping, Dinner, Instance, Schedule, TableSeating, group_customers
 
@@ -99,9 +104,7 @@ def singleton_dinners(
     and groups with k classes; equitability keeps every class within the
     table count.
     """
-    a, b = len(supplier_ids), len(grouping_slice)
-    edges = [(i, j) for i in range(1, a + 1) for j in range(1, b + 1)]
-    classes = color_bipartite_edges(a, b, edges, k)
+    classes = equitable_bipartite_coloring(len(supplier_ids), len(grouping_slice), k)
     assert max(len(cls) for cls in classes) <= tables
     dinners = []
     for cls in classes:
@@ -241,53 +244,60 @@ def _cas_par_paper_route(inst: Instance, node_budget: int | None) -> Schedule:
     return Schedule.of(inst, dinners)
 
 
+def _complete_singles(
+    owners: list[dict[int, frozenset[int]]], s: int, k: int
+) -> list[list[TableSeating]]:
+    """Single-supplier tables for left vertices that each still meet all of 1..s.
+
+    owners[i][x] is the customer group that meets supplier x through vertex i.
+    One vertex may merge several groups whose owed suppliers are disjoint and
+    together cover 1..s.  Coloring K_{len(owners),s} with k classes and
+    sending each edge (i, x) to owners[i][x] keeps the coloring proper (a
+    color appears once at the merged vertex, so at most one of its groups,
+    once) and keeps the class sizes.
+    """
+    return [
+        [TableSeating(frozenset({x}), owners[i - 1][x]) for i, x in cls]
+        for cls in equitable_bipartite_coloring(len(owners), s, k)
+    ]
+
+
 def _cas_par_s3(inst: Instance) -> Schedule:
-    """Interleaved schedule for s=3, t=2: pair tables share dinners with
-    singles, remaining singles are edge-colored into ceil(3q/2) dinners."""
-    grouping = group_customers(inst.c, inst.gamma)
-    groups = list(grouping.groups)
-    g = groups[:3]
-    hs = groups[3:]
-    q = len(hs)
+    """Interleaved schedule for s=3, t=2 and q = cg - 3 >= 2 further groups.
+
+    Three dinners seat each supplier pair beside one companion single.  The
+    singles still owed are g0 {3}, g1 {2}, g2 {1}, hs0 {2}, hs1 {1,3} and
+    all of every later group.  g0..g2 are disjoint and cover {1,2,3}, and so
+    are hs0 and hs1, so each set merges into one complete left vertex:
+    K_{q,3}, colored in ceil(3q/2) classes of at most 2 = t tables.
+    """
+    groups = list(group_customers(inst.c, inst.gamma).groups)
+    g, hs = groups[:3], groups[3:]
     dinners = [
         Dinner.of([TableSeating(frozenset({1, 2}), g[0]), TableSeating(frozenset({3}), hs[0])]),
         Dinner.of([TableSeating(frozenset({1, 3}), g[1]), TableSeating(frozenset({2}), hs[1])]),
         Dinner.of([TableSeating(frozenset({2, 3}), g[2]), TableSeating(frozenset({1}), hs[0])]),
     ]
-    # Remaining single-supplier visits: the pair groups' leftover supplier,
-    # plus everything the companion seats above did not cover.
-    left: list[frozenset[int]] = []
-    edges: list[tuple[int, int]] = []
-
-    def add(group: frozenset[int], sups: list[int]) -> None:
-        left.append(group)
-        edges.extend((len(left), x) for x in sups)
-
-    add(g[0], [3])
-    add(g[1], [2])
-    add(g[2], [1])
-    add(hs[0], [2])
-    add(hs[1], [1, 3])
-    for h in hs[2:]:
-        add(h, [1, 2, 3])
-    k = bounds.ceil_div(3 * q, 2)
-    classes = color_bipartite_edges(len(left), 3, [(i, x) for i, x in edges], k)
-    for cls in classes:
-        if cls:
-            dinners.append(
-                Dinner.of(TableSeating(frozenset({x}), left[i - 1]) for i, x in cls)
-            )
+    owners = [{3: g[0], 2: g[1], 1: g[2]}, {2: hs[0], 1: hs[1], 3: hs[1]}]
+    owners += [dict.fromkeys((1, 2, 3), h) for h in hs[2:]]
+    k = bounds.ceil_div(3 * len(hs), 2)
+    dinners.extend(Dinner.of(tables) for tables in _complete_singles(owners, 3, k))
     return Schedule.of(inst, dinners)
 
 
 def _cas_par_s4(inst: Instance) -> Schedule:
-    """Interleaved schedule for s=4, t=2: each supplier pair gets its own
-    dinner beside one companion single; the rest is edge-colored."""
-    grouping = group_customers(inst.c, inst.gamma)
-    groups = list(grouping.groups)
-    g = groups[:3]
-    hs = groups[3:]
-    q = len(hs)
+    """Interleaved schedule for s=4, t=2 and q = cg - 3 >= 3 further groups.
+
+    Each supplier pair gets its own dinner beside one companion single.  The
+    singles still owed are hs0 {2,4}, hs1 {3,4}, hs2 {1,2} and all of every
+    later group.  hs1 and hs2 merge into one complete left vertex, so with
+    hs[3:] they form K_{q-2,4}, colored in 2(q-2) classes of exactly two
+    singles.  hs0's two singles then split the first class {a, b} into two
+    dinners, each beside a supplier that table does not seat: 2q-3 dinners
+    of leftovers.  q = 3 has no complete group and takes three fixed dinners.
+    """
+    groups = list(group_customers(inst.c, inst.gamma).groups)
+    g, hs = groups[:3], groups[3:]
     pair_plan = [
         ({1, 2}, 0, 0, 3),
         ({3, 4}, 0, 0, 1),
@@ -297,33 +307,26 @@ def _cas_par_s4(inst: Instance) -> Schedule:
         ({2, 3}, 2, 2, 4),
     ]
     dinners = [
-        Dinner.of(
-            [
-                TableSeating(frozenset(pair), g[gi]),
-                TableSeating(frozenset({sup}), hs[hi]),
-            ]
-        )
+        Dinner.of([TableSeating(frozenset(pair), g[gi]), TableSeating(frozenset({sup}), hs[hi])])
         for pair, gi, hi, sup in pair_plan
     ]
-    left: list[frozenset[int]] = []
-    edges: list[tuple[int, int]] = []
 
-    def add(group: frozenset[int], sups: list[int]) -> None:
-        left.append(group)
-        edges.extend((len(left), x) for x in sups)
+    def single(x: int, group: frozenset[int]) -> TableSeating:
+        return TableSeating(frozenset({x}), group)
 
-    add(hs[0], [2, 4])
-    add(hs[1], [3, 4])
-    add(hs[2], [1, 2])
-    for h in hs[3:]:
-        add(h, [1, 2, 3, 4])
-    k = 2 * q - 3
-    classes = color_bipartite_edges(len(left), 4, edges, k)
-    for cls in classes:
-        if cls:
-            dinners.append(
-                Dinner.of(TableSeating(frozenset({x}), left[i - 1]) for i, x in cls)
-            )
+    if len(hs) == 3:
+        rows = [
+            [single(2, hs[0]), single(3, hs[1])],
+            [single(4, hs[0]), single(1, hs[2])],
+            [single(4, hs[1]), single(2, hs[2])],
+        ]
+    else:
+        owners = [{3: hs[1], 4: hs[1], 1: hs[2], 2: hs[2]}]
+        owners += [dict.fromkeys((1, 2, 3, 4), h) for h in hs[3:]]
+        (a, b), *rest = _complete_singles(owners, 4, 2 * (len(hs) - 2))
+        x, y = (4, 2) if 2 in a.suppliers or 4 in b.suppliers else (2, 4)
+        rows = [[a, single(x, hs[0])], [b, single(y, hs[0])], *rest]
+    dinners.extend(Dinner.of(tables) for tables in rows)
     return Schedule.of(inst, dinners)
 
 

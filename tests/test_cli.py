@@ -129,6 +129,29 @@ def test_validate_counts_every_pair_missing_but_lists_a_capped_number(tmp_path, 
     assert len(lines) == 10_002
 
 
+def test_validate_prints_a_violation_total_past_the_int_digit_limit(tmp_path, capsys):
+    # s*c = 10^4400 PairMissing, more digits than str(int) converts by default.
+    n = "1" + "0" * 2200
+    path = tmp_path / "empty.json"
+    path.write_text('{"instance":{"t":1,"s":%s,"c":%s,"sigma":1,"gamma":1},"dinners":[]}' % (n, n))
+    assert path.stat().st_size < 5000
+    code, out, _ = run(capsys, "validate", str(path))
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[0] == f"infeasible: 1{'0' * 4400} violation(s)"
+    assert lines[-1] == f"  (and {'9' * 4396}{'0' * 4} more PairMissing not listed)"
+
+
+@pytest.mark.parametrize("argv", [["build", "1", "2", "2", "1", "1"], ["solve", "1", "2", "2", "1", "1"]],
+                         ids=["build", "solve"])
+def test_out_to_an_unwritable_path_is_an_error_not_a_traceback(tmp_path, capsys, argv):
+    path = tmp_path / "missing" / "x.json"
+    code, _, err = run(capsys, *argv, "--out", str(path))
+    assert code == 2
+    assert err.startswith("error: ") and "x.json" in err
+    assert not path.exists()
+
+
 def test_python_m_dinners_runs_the_cli():
     env_path = str(Path(dinners.__file__).resolve().parents[1])
     proc = subprocess.run([sys.executable, "-m", "dinners", "bounds", "1", "8", "8", "1", "1", "--json"],

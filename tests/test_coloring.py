@@ -1,12 +1,10 @@
-"""Proper equitable edge colorings of complete and sparse bipartite graphs."""
-
-import random
+"""Proper equitable edge colorings of complete bipartite graphs."""
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dinners.coloring import color_bipartite_edges, equitable_bipartite_coloring
+from dinners.coloring import equitable_bipartite_coloring
 
 
 def check_proper_equitable(a, b, k, classes, expected_edges):
@@ -59,24 +57,6 @@ def test_complete_sweep():
                 check_proper_equitable(a, b, k, col, complete(a, b))
 
 
-def test_sparse_graphs_random():
-    rng = random.Random(7)
-    for _ in range(300):
-        a = rng.randint(1, 7)
-        b = rng.randint(1, 7)
-        edges = [e for e in complete(a, b) if rng.random() < 0.6]
-        if not edges:
-            continue
-        deg: dict = {}
-        for i, j in edges:
-            deg[("L", i)] = deg.get(("L", i), 0) + 1
-            deg[("R", j)] = deg.get(("R", j), 0) + 1
-        delta = max(deg.values())
-        k = rng.randint(delta, delta + 4)
-        classes = color_bipartite_edges(a, b, edges, k)
-        check_proper_equitable(a, b, k, classes, edges)
-
-
 def test_deterministic():
     a = equitable_bipartite_coloring(5, 7, 9)
     b = equitable_bipartite_coloring(5, 7, 9)
@@ -86,8 +66,8 @@ def test_deterministic():
 @given(a=st.integers(1, 40), b=st.integers(1, 40), extra=st.integers(0, 60))
 def test_complete_graph_closed_form(a, b, extra):
     k = max(a, b) + extra
-    classes = color_bipartite_edges(a, b, complete(a, b), k)
+    classes = equitable_bipartite_coloring(a, b, k)
     check_proper_equitable(a, b, k, classes, complete(a, b))
     assert all(cls == sorted(cls) for cls in classes)
     with pytest.raises(ValueError):
-        color_bipartite_edges(a, b, complete(a, b), max(a, b) - 1)
+        equitable_bipartite_coloring(a, b, max(a, b) - 1)

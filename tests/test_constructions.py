@@ -1,7 +1,10 @@
 """Schedule builders: feasibility and exact dinner counts per closed form."""
 
+from itertools import permutations
+
 import pytest
 
+from dinners import constructions
 from dinners.bounds import ceil_div, lb5_term, lb_best, sigma2_base_dinners, sigma2_base_tables
 from dinners.constructions import (
     ConstructionError,
@@ -142,6 +145,41 @@ def test_cas_par_odd_three_suppliers():
         assert feasible(sched), c
         assert sched.dinner_count() == expected
         assert sched.dinner_count() == cas_par_dinner_count(inst)
+
+
+def test_cas_par_three_and_four_suppliers_sweep():
+    # The leftover singles are colored on merged complete groups; every size
+    # from the smallest (q = 2 for s = 3, the fixed q = 3 for s = 4) up,
+    # with full and ragged last customer groups.
+    checked = 0
+    for s, t, lo in ((3, 2, 5), (4, 2, 6)):
+        for gamma in (1, 2, 3):
+            for cg in range(lo, 81):
+                for c in {gamma * cg, gamma * (cg - 1) + 1}:
+                    inst = Instance(t, s, c, 2, gamma)
+                    sched = build_cas_par(inst)
+                    assert feasible(sched), inst
+                    assert sched.dinner_count() == cas_par_dinner_count(inst), inst
+                    checked += 1
+    assert checked == 5 * (76 + 75)  # one c for gamma = 1, two otherwise
+
+
+def test_cas_par_four_suppliers_split_holds_for_any_supplier_labelling(monkeypatch):
+    # hs0's two singles split the first color class; relabelling the
+    # suppliers of the leftover coloring keeps it proper and equitable, and
+    # reaches every supplier pair that class can seat.
+    closed_form = constructions.equitable_bipartite_coloring
+    for perm in permutations((1, 2, 3, 4)):
+        monkeypatch.setattr(
+            constructions,
+            "equitable_bipartite_coloring",
+            lambda a, b, k, perm=perm: [[(i, perm[j - 1]) for i, j in cls] for cls in closed_form(a, b, k)],
+        )
+        for c in (7, 8, 12):
+            inst = Instance(2, 4, c, 2, 1)
+            sched = build_cas_par(inst)
+            assert feasible(sched), (perm, c)
+            assert sched.dinner_count() == cas_par_dinner_count(inst)
 
 
 def test_cas_par_two_suppliers_and_grouped_customers():
