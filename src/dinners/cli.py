@@ -126,7 +126,7 @@ def cmd_build(args) -> int:
             if not proven:
                 sched = best_generic(inst)
         else:
-            sched = ROUTES[args.strategy].build(inst, DEFAULT_NODE_BUDGET)
+            sched = ROUTES[args.strategy](inst, DEFAULT_NODE_BUDGET)
             hit = dispatch_optimal(inst)
             proven = hit is not None and hit.dinner_count() == sched.dinner_count()
     except ConstructionError as e:

@@ -16,13 +16,14 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from importlib import resources
 
 from . import bounds
 from .coloring import equitable_bipartite_coloring
 from .howell import DEFAULT_NODE_BUDGET, generate_howell
-from .model import CustomerGrouping, Dinner, Instance, Schedule, TableSeating, group_customers
+from .model import Dinner, Instance, Schedule, TableSeating, decode_schedule, group_customers
 
 
 class ConstructionError(ValueError):
@@ -36,9 +37,6 @@ class ScheduleTemplate:
     suppliers: int
     groups: int
     rows: tuple[tuple[frozenset[int], ...], ...]
-
-    def max_tables_per_dinner(self) -> int:
-        return max(sum(1 for cell in row if cell) for row in self.rows)
 
 
 _TEMPLATE_FILES = {
@@ -62,25 +60,16 @@ def exceptional_schedule(key: str) -> ScheduleTemplate:
 
 def load_example_schedule() -> Schedule:
     """The embedded 6-dinner example schedule for (t=2, s=5, c=6, sigma=2, gamma=3)."""
-    from .model import decode_schedule
-
     text = resources.files("dinners.fixtures").joinpath("example_schedule_t2_s5_c6.json").read_text()
     return decode_schedule(text)
 
 
-def _grid_schedule(
-    inst: Instance, rows: list[list[frozenset[int]]], grouping: CustomerGrouping
-) -> Schedule:
-    """Assemble a schedule from per-dinner supplier sets indexed by group."""
-    dinners = []
-    for row in rows:
-        tables = [
-            TableSeating(suppliers=cell, customers=grouping.groups[j])
-            for j, cell in enumerate(row)
-            if cell
-        ]
-        dinners.append(Dinner.of(tables))
-    return Schedule.of(inst, dinners)
+def _grid_dinners(rows: list[list[frozenset[int]]], groups: Sequence[frozenset[int]]) -> list[Dinner]:
+    """One dinner per row of supplier sets indexed by group; empty cells seat no table."""
+    return [
+        Dinner.of(TableSeating(cell, groups[j]) for j, cell in enumerate(row) if cell)
+        for row in rows
+    ]
 
 
 def build_trivial(inst: Instance) -> Schedule:
@@ -130,16 +119,44 @@ def build_sigma1(inst: Instance) -> Schedule:
     return Schedule.of(inst, dinners)
 
 
-def _strip_rows(rows: list[list[frozenset[int]]], real_s: int) -> list[list[frozenset[int]]]:
-    """Drop fictitious padding suppliers (ids above real_s) from every cell."""
-    return [[frozenset(x for x in cell if x <= real_s) for cell in row] for row in rows]
-
-
-def _template_rows(key: str) -> list[list[frozenset[int]]]:
-    return [list(row) for row in exceptional_schedule(key).rows]
+def _strip_rows(rows, s: int, cols: int) -> list[list[frozenset[int]]]:
+    """The first cols cells of every row, as sets without the fictitious
+    padding suppliers (ids above s); a cell may be None or empty."""
+    return [[frozenset(x for x in cell or () if x <= s) for cell in row[:cols]] for row in rows]
 
 
 _EXCEPTION_TEMPLATE_KEYS = {(2, 4): "S4C2", (3, 4): "S4C3", (5, 6): "S6C5", (5, 8): "S8C5"}
+
+
+def _howell_rows(cg: int, s: int, node_budget: int | None) -> list[list[frozenset[int]]]:
+    """Supplier pairs per (dinner, customer group) seating cg groups with
+    suppliers 1..s in max(cg, ceil(s/2)) dinners (3 for the two exceptional
+    shapes with cg = 2).  Needs cg <= s and (cg, s) != (2, 2).
+
+    An odd supplier count is padded with a fictitious largest supplier; a
+    square shape cg == s with even s is padded with two; the padding is
+    stripped from the cells.
+    """
+    if cg == 1:
+        # One group: seat it with supplier pairs, ceil(s/2) dinners.
+        return [[frozenset(range(lo, min(lo + 2, s + 1)))] for lo in range(1, s + 1, 2)]
+    if cg < bounds.ceil_div(s, 2):
+        # Fewer groups than half the suppliers: complete array, first cg columns.
+        n2 = s + s % 2
+        design = generate_howell(n2 // 2, n2, node_budget)
+    else:
+        if s % 2:
+            n2 = s + 1
+        elif cg < s:
+            n2 = s
+        else:  # cg == s, even s >= 4: pad by two suppliers
+            n2 = s + 2
+        key = _EXCEPTION_TEMPLATE_KEYS.get((cg, n2))
+        if key is not None:
+            return _strip_rows(exceptional_schedule(key).rows, s, cg)
+        design = generate_howell(cg, n2, node_budget)
+    assert design is not None
+    return _strip_rows(design.cells, s, cg)
 
 
 def build_howell_schedule(
@@ -150,9 +167,7 @@ def build_howell_schedule(
 
     Requires sigma == 2, s*gamma > c, and enough tables for the underlying
     array: min(cg, ceil(s/2)) in the regular shapes, more for the exceptional
-    ones (see bounds.sigma2_base_tables).  An odd supplier count is padded
-    with a fictitious largest supplier; a square shape cg == s with even s is
-    padded with two; padding is stripped from the final seating.
+    ones (see bounds.sigma2_base_tables).
     """
     if inst.sigma != 2:
         raise ConstructionError("build_howell_schedule needs sigma == 2")
@@ -164,80 +179,22 @@ def build_howell_schedule(
         raise ConstructionError(
             f"shape (cg={cg}, s={s}) needs at least {need_t} tables, instance has {inst.t}"
         )
-    grouping = group_customers(inst.c, inst.gamma)
-    half = bounds.ceil_div(s, 2)
-
-    if cg == 1:
-        # One group: seat it with supplier pairs, ceil(s/2) dinners.
-        rows = [[frozenset(range(lo, min(lo + 2, s + 1)))] for lo in range(1, s + 1, 2)]
-    elif (cg, s) == (2, 2):
+    groups = group_customers(inst.c, inst.gamma).groups
+    if (cg, s) == (2, 2):
         # No 2-dinner pairing exists; single-supplier tables reach 2 dinners.
-        return Schedule.of(
-            inst, singleton_dinners([1, 2], list(grouping.groups), inst.t, 2)
-        )
-    elif cg >= half:
-        if s % 2 == 0 and cg <= s - 1:
-            n2 = s
-        elif s % 2 == 1:
-            n2 = s + 1
-        else:  # cg == s, even s >= 4: pad by two suppliers
-            n2 = s + 2
-        key = _EXCEPTION_TEMPLATE_KEYS.get((cg, n2))
-        if key is not None:
-            rows = _strip_rows(_template_rows(key), s)
-        else:
-            design = generate_howell(cg, n2, node_budget)
-            assert design is not None
-            rows = _strip_rows(
-                [[frozenset(cell) if cell else frozenset() for cell in row] for row in design.cells],
-                s,
-            )
-    else:
-        # Fewer groups than half the suppliers: complete array, first cg columns.
-        n2 = s if s % 2 == 0 else s + 1
-        design = generate_howell(n2 // 2, n2, node_budget)
-        assert design is not None
-        rows = _strip_rows(
-            [[frozenset(cell) if cell else frozenset() for cell in row[:cg]] for row in design.cells],
-            s,
-        )
-
-    sched = _grid_schedule(inst, rows, grouping)
+        return Schedule.of(inst, singleton_dinners([1, 2], list(groups), inst.t, 2))
+    sched = Schedule.of(inst, _grid_dinners(_howell_rows(cg, s, node_budget), groups))
     assert sched.dinner_count() == bounds.sigma2_base_dinners(cg, s)
     return sched
 
 
 def _cas_par_paper_route(inst: Instance, node_budget: int | None) -> Schedule:
-    """Half-table regime via a Howell phase plus a single-supplier phase."""
+    """Half-table regime via a Howell phase seating the first s-1 (even s) or
+    s (odd s) groups, plus a single-supplier phase for the rest."""
     s, t = inst.s, inst.t
-    cg = inst.customer_groups
-    grouping = group_customers(inst.c, inst.gamma)
-    groups = list(grouping.groups)
-    dinners: list[Dinner] = []
-    if s % 2 == 0:
-        design = generate_howell(s - 1, s, node_budget)
-        assert design is not None
-        lead = s - 1
-        for row in design.cells:
-            tables = [
-                TableSeating(frozenset(cell), groups[j])
-                for j, cell in enumerate(row[: s - 1])
-                if cell
-            ]
-            dinners.append(Dinner.of(tables))
-    else:
-        design = generate_howell(s, s + 1, node_budget)
-        assert design is not None
-        lead = s
-        for row in design.cells:
-            tables = []
-            for j, cell in enumerate(row[:s]):
-                if not cell:
-                    continue
-                real = frozenset(x for x in cell if x <= s)
-                if real:
-                    tables.append(TableSeating(real, groups[j]))
-            dinners.append(Dinner.of(tables))
+    groups = list(group_customers(inst.c, inst.gamma).groups)
+    lead = s - 1 + s % 2
+    dinners = _grid_dinners(_howell_rows(lead, s, node_budget), groups)
     rest = groups[lead:]
     k2 = max(s, len(rest), bounds.ceil_div(s * len(rest), t))
     dinners.extend(singleton_dinners(list(range(1, s + 1)), rest, t, k2))

@@ -23,6 +23,10 @@ class SearchBudgetExceeded(RuntimeError):
     """The backtracking search ran out of its node budget before an answer."""
 
 
+class _Found(Exception):
+    """Raised out of the search frames when the grid is full."""
+
+
 @dataclass(frozen=True)
 class HowellDesign:
     m: int
@@ -91,7 +95,7 @@ class _Search:
         self.m = m
         self.n2 = n2
         self.n = n = n2 // 2
-        self.budget = node_budget
+        self.node_cap = node_budget if node_budget is not None else float("inf")
         self.nodes = 0
         self.full = (1 << n2) - 1
         self.sym_cols = [(1 << m) - 1] * n2  # columns still missing symbol x
@@ -125,28 +129,37 @@ class _Search:
             self.partner_used[2 * i] = 1 << (2 * i + 1)
             self.partner_used[2 * i + 1] = 1 << (2 * i)
 
-    def _tick(self) -> None:
-        self.nodes += 1
-        if self.budget is not None and self.nodes > self.budget:
-            raise SearchBudgetExceeded(
-                f"H({self.m},{self.n2}) search exceeded {self.budget} nodes"
-            )
-
     def run(self) -> HowellDesign | None:
-        if self._next_row(1):
-            cells = tuple(tuple(row) for row in self.grid)
-            return HowellDesign(self.m, self.n2, cells)
-        return None
+        """Fill the grid depth first.  Each frame is a generator that yields
+        its children's frames and undoes its placement when resumed; a loop
+        drives a list of them, so the search depth (one frame per placed
+        cell) is not limited by Python's recursion limit."""
+        try:
+            first = self._next_row(1)
+            if first is True:
+                raise _Found
+            stack = [] if first is None else [first]
+            push, pop = stack.append, stack.pop
+            while stack:
+                for child in stack[-1]:
+                    push(child)
+                    break
+                else:
+                    pop()
+            return None
+        except _Found:
+            return HowellDesign(self.m, self.n2, tuple(tuple(row) for row in self.grid))
 
-    def _next_row(self, r: int) -> bool:
-        """Rows 0..r-1 are full: prune if the rest cannot be filled, else fill row r."""
+    def _next_row(self, r: int):
+        """Rows 0..r-1 are full: None if the rest cannot be filled, True if
+        the grid is full, else the frame that fills row r."""
         rows_left = self.m - r
         n = self.n
         open_cols = tight = 0
         for k, filled in enumerate(self.col_filled):
             lack = n - filled
             if lack > rows_left:
-                return False
+                return None
             if lack:
                 open_cols |= 1 << k
                 if lack == rows_left:
@@ -155,9 +168,9 @@ class _Search:
         max_partners = self.n2 - 1 - rows_left
         for x, cols in enumerate(sym):
             if self.partner_used[x].bit_count() > max_partners:
-                return False
+                return None
             if (cols & open_cols).bit_count() < rows_left:
-                return False
+                return None
         if self.all_pairs_needed:
             for x, sx in enumerate(sym):
                 unmet = self.full & ~self.partner_used[x] & ~((2 << x) - 1)  # partners y > x
@@ -165,11 +178,14 @@ class _Search:
                     low = unmet & -unmet
                     unmet ^= low
                     if not sx & sym[low.bit_length() - 1]:
-                        return False
-        return r == self.m or self._fill(r, self.full, open_cols, tight)
+                        return None
+        if r == self.m:
+            return True
+        return self._fill(r, self.full, open_cols, tight)
 
-    def _fill(self, r: int, unplaced: int, avail: int, must: int) -> bool:
-        """Place the next pair of row r, then search on.
+    def _fill(self, r: int, unplaced: int, avail: int, must: int):
+        """Place the next pair of row r in every way, yielding the frame that
+        searches on from each placement; raises _Found on a full grid.
 
         unplaced: the symbols row r still lacks.  avail: the open columns
         with no cell in row r yet.  must: the columns of avail that lack a
@@ -187,10 +203,10 @@ class _Search:
         pused = self.partner_used
         cells_left = unplaced.bit_count() >> 1
         if avail.bit_count() < cells_left:
-            return False
+            return
         n_must = must.bit_count()
         if n_must > cells_left:
-            return False
+            return
         # Symbol 1 (bit 0) opens every row in the pinned column r; otherwise
         # pick the unplaced symbol with the fewest candidate columns.
         if unplaced & 1:
@@ -206,9 +222,9 @@ class _Search:
                 cand = low.bit_length() - 1
                 cols = avail & sym[cand]
                 if not cols:
-                    return False
+                    return
                 if not (unplaced ^ low) & ~pused[cand]:
-                    return False
+                    return
                 score = cols.bit_count()
                 if score < best:
                     best = score
@@ -217,41 +233,48 @@ class _Search:
             if n_must == cells_left:
                 xcols &= must
         if not xcols:
-            return False
+            return
         xbit = 1 << x
         rest = unplaced ^ xbit
         order = (r * 7 + x) % self.n_tables
         col_rank = self.col_rank[order]
         filled = self.col_filled
         row = self.grid[r]
+        node_cap = self.node_cap
         for y in _bits(rest & ~pused[x], self.partner_rank[order]):
             cols = xcols & sym[y]
             if not cols:
                 continue
             ybit = 1 << y
             left = rest ^ ybit
+            cell = (x + 1, y + 1)
             # x has the fewest candidate columns, so cols is most often one bit.
             for k in _bits(cols, col_rank) if cols & (cols - 1) else (cols.bit_length() - 1,):
-                self._tick()
+                nodes = self.nodes + 1
+                self.nodes = nodes
+                if nodes > node_cap:
+                    raise SearchBudgetExceeded(f"H({self.m},{self.n2}) search exceeded {node_cap} nodes")
                 kbit = 1 << k
-                row[k] = (x + 1, y + 1)
+                row[k] = cell
                 sym[x] ^= kbit
                 sym[y] ^= kbit
                 filled[k] += 1
                 pused[x] ^= ybit
                 pused[y] ^= xbit
                 if left:
-                    if self._fill(r, left, avail ^ kbit, must & ~kbit):
-                        return True
-                elif self._next_row(r + 1):
-                    return True
+                    yield self._fill(r, left, avail ^ kbit, must & ~kbit)
+                else:
+                    child = self._next_row(r + 1)
+                    if child is True:
+                        raise _Found
+                    if child is not None:
+                        yield child
                 row[k] = None
                 sym[x] ^= kbit
                 sym[y] ^= kbit
                 filled[k] -= 1
                 pused[x] ^= ybit
                 pused[y] ^= xbit
-        return False
 
 
 def _ranks(order: list[int]) -> list[int]:

@@ -77,9 +77,6 @@ class TableSeating:
     def of(suppliers: Iterable[int], customers: Iterable[int]) -> "TableSeating":
         return TableSeating(frozenset(suppliers), frozenset(customers))
 
-    def sort_key(self) -> tuple:
-        return (tuple(sorted(self.suppliers)), tuple(sorted(self.customers)))
-
 
 @dataclass(frozen=True)
 class Dinner:

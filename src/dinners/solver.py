@@ -36,7 +36,8 @@ import time
 from dataclasses import dataclass
 
 from . import bounds
-from .model import Dinner, Instance, Schedule, TableSeating
+from .howell import SearchBudgetExceeded
+from .model import Dinner, Instance, Schedule, TableSeating, validate_schedule
 
 OPTIMAL = "Optimal"
 FEASIBLE_ONLY = "FeasibleOnly"
@@ -362,10 +363,6 @@ class _Level:
                     j += 1
 
 
-def _upper_limit(inst: Instance) -> int:
-    return bounds.ub_best(inst)
-
-
 def solve_exact(
     inst: Instance, limits: SolveLimits | None = None, prune: bool = True
 ) -> SolveResult:
@@ -383,7 +380,7 @@ def solve_exact(
     deadline = (
         time.monotonic() + limits.time_budget if limits.time_budget is not None else None
     )
-    cap = limits.max_dinners if limits.max_dinners is not None else _upper_limit(inst)
+    cap = limits.max_dinners if limits.max_dinners is not None else bounds.ub_best(inst)
     start = bounds.lb_best(inst) if prune else 1
     keys = _Keys(inst)
     nodes = 0
@@ -418,9 +415,6 @@ def certify_optimal(sched: Schedule, limits: SolveLimits | None = None) -> bool:
     Raises SearchBudgetExceeded if the refutation runs out of budget, so an
     inconclusive answer is never mistaken for a certificate.
     """
-    from .howell import SearchBudgetExceeded
-    from .model import validate_schedule
-
     report = validate_schedule(sched)
     if not report.feasible:
         raise ValueError("certify_optimal needs a feasible schedule")

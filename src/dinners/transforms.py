@@ -3,17 +3,17 @@
 The rewrites turn a feasible schedule for one parameter set into one for
 another (fewer tables, smaller supplier cap, grouped customers, merged
 supplier pools); the pipelines compose them with the special-case builders to
-produce witness schedules matching the closed-form upper bounds.  ROUTES
-lists every builder, proven or generic; dispatch_optimal, best_feasible and
-the CLI's build strategies all read it.
+produce witness schedules matching the closed-form upper bounds.  PROVEN
+lists the builders of the paper's optimal cases and GENERIC the pipelines
+that build every instance; dispatch_optimal, best_feasible and the CLI's
+build strategies all read them.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from collections.abc import Callable, Iterator
+from collections.abc import Callable
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from . import bounds
 from .constructions import (
@@ -234,63 +234,50 @@ def build_eucli(inst: Instance) -> Schedule:
     return combined
 
 
-class Route(NamedTuple):
-    """One way to build a schedule.  ``build(inst, node_budget)`` raises
-    ConstructionError when the instance fails the route's preconditions.
-    ``proven`` marks the routes of the paper's optimal cases: the first of
-    them in table order that builds is optimal, a later one need not be
-    (prime accepts some c <= gamma, where trivial does better).  A ``total``
-    route builds every instance, so a ConstructionError from it is a fault
-    and propagates."""
-
-    build: Callable[[Instance, int | None], Schedule]
-    proven: bool
-    total: bool = False
-
-
-# Proven routes first, in dispatch order, then the generic pipelines in
-# tie-break order.  Entries look builders up by module-level name at call
-# time, so replacing a module attribute (to trace or stub it) reaches them.
-ROUTES: dict[str, Route] = {
-    "trivial": Route(lambda inst, b: build_trivial(inst), True),
-    "sigma1": Route(lambda inst, b: build_sigma1(inst), True),
-    "prime": Route(lambda inst, b: build_prime(inst), True),
-    "howell": Route(lambda inst, b: build_howell_schedule(inst, b), True),
-    "caspar": Route(lambda inst, b: build_cas_par(inst, b), True),
-    "ub2": Route(lambda inst, b: build_ub2(inst), False),
-    "ub1": Route(lambda inst, b: build_ub1(inst, b), False, total=True),
-    "eucli": Route(lambda inst, b: build_eucli(inst), False, total=True),
+# Each route is build(inst, node_budget); it raises ConstructionError when the
+# instance fails its preconditions.  Entries look builders up by module-level
+# name at call time, so replacing a module attribute (to trace or stub it)
+# reaches them.  PROVEN holds the routes of the paper's optimal cases in
+# dispatch order: the first of them that builds is optimal, a later one need
+# not be (prime accepts some c <= gamma, where trivial does better).
+PROVEN: dict[str, Callable[[Instance, int | None], Schedule]] = {
+    "trivial": lambda inst, b: build_trivial(inst),
+    "sigma1": lambda inst, b: build_sigma1(inst),
+    "prime": lambda inst, b: build_prime(inst),
+    "howell": lambda inst, b: build_howell_schedule(inst, b),
+    "caspar": lambda inst, b: build_cas_par(inst, b),
 }
 
+# The generic pipelines, in tie-break order.  Both build every instance.
+# build_ub2 is no route of its own: where it applies, ceil(s/sigma) <= cg,
+# build_eucli has a single block and returns build_ub2(inst).
+GENERIC: dict[str, Callable[[Instance, int | None], Schedule]] = {
+    "eucli": lambda inst, b: build_eucli(inst),
+    "ub1": lambda inst, b: build_ub1(inst, b),
+}
 
-def _built(proven: bool, inst: Instance, node_budget: int | None) -> Iterator[Schedule]:
-    """Schedules of the routes with the given flag that build, in table order;
-    a route whose preconditions fail or whose Howell search runs out is skipped."""
-    for route in ROUTES.values():
-        if route.proven != proven:
-            continue
-        try:
-            sched = route.build(inst, node_budget)
-        except ConstructionError:
-            if route.total:
-                raise
-            continue
-        except SearchBudgetExceeded:
-            continue
-        yield sched
+ROUTES = {**PROVEN, **GENERIC}
 
 
 def dispatch_optimal(
     inst: Instance, node_budget: int | None = DEFAULT_NODE_BUDGET
 ) -> Schedule | None:
-    """The schedule of the first proven route that builds, or None."""
-    return next(_built(True, inst, node_budget), None)
+    """The schedule of the first proven route that builds, or None.  A route
+    whose preconditions fail or whose Howell search runs out is skipped."""
+    for build in PROVEN.values():
+        try:
+            return build(inst, node_budget)
+        except (ConstructionError, SearchBudgetExceeded):
+            continue
+    return None
 
 
 def best_generic(inst: Instance, node_budget: int | None = DEFAULT_NODE_BUDGET) -> Schedule:
     """Fewest-dinner schedule among the generic routes; ties go to the earlier
-    route.  The total routes always build."""
-    return min(_built(False, inst, node_budget), key=Schedule.dinner_count)
+    route.  A ConstructionError from one of them is a fault and propagates."""
+    return min(
+        (build(inst, node_budget) for build in GENERIC.values()), key=Schedule.dinner_count
+    )
 
 
 def best_feasible(

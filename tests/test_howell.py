@@ -14,6 +14,8 @@ from dinners.howell import (
     search_howell,
     validate_howell,
 )
+from dinners.model import Instance, validate_schedule
+from dinners.transforms import best_feasible
 
 
 def test_existence_characterization():
@@ -51,6 +53,15 @@ def test_exhaustive_search_proves_small_nonexistence():
 def test_budget_exhaustion_is_distinct():
     with pytest.raises(SearchBudgetExceeded):
         search_howell(9, 10, node_budget=50)
+
+
+def test_search_depth_is_not_bounded_by_the_recursion_limit():
+    # H(50,100) has 50 cells a row: the budget runs out more than a thousand
+    # cells deep, past Python's default recursion limit.
+    with pytest.raises(SearchBudgetExceeded):
+        search_howell(50, 100, 10_000)
+    sched, count = best_feasible(Instance(50, 100, 50, 2, 1), node_budget=10_000)
+    assert validate_schedule(sched).feasible and count == sched.dinner_count()
 
 
 def test_search_is_deterministic():

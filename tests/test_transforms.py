@@ -4,10 +4,19 @@ import random
 import time
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from dinners.bounds import compute_bounds, lb_best, ub1, ub2, ub_eucli
 from dinners.constructions import build_sigma1, load_example_schedule
-from dinners.model import Dinner, Instance, Schedule, TableSeating, validate_schedule
+from dinners.model import (
+    Dinner,
+    Instance,
+    Schedule,
+    TableSeating,
+    encode_schedule,
+    validate_schedule,
+)
 from dinners.transforms import (
     best_feasible,
     build_eucli,
@@ -160,6 +169,21 @@ def test_pipelines_within_bounds_sweep():
             s2 = build_ub2(inst)
             assert feasible(s2), cell
             assert s2.dinner_count() <= rep.ub2, cell
+
+
+@given(
+    t=st.integers(1, 6),
+    c=st.integers(1, 30),
+    sigma=st.integers(1, 6),
+    gamma=st.integers(1, 4),
+    data=st.data(),
+)
+def test_eucli_is_ub2_wherever_ub2_applies(t, c, sigma, gamma, data):
+    # ceil(s/sigma) <= cg means s <= sigma*cg, so build_eucli cuts a single
+    # block, the whole instance: this is why ub2 is not a route of its own.
+    cg = -(-c // gamma)
+    inst = Instance(t, data.draw(st.integers(1, sigma * cg), label="s"), c, sigma, gamma)
+    assert encode_schedule(build_eucli(inst)) == encode_schedule(build_ub2(inst))
 
 
 def test_best_feasible_examples():
