@@ -129,12 +129,23 @@ def lb_best(inst: Instance) -> int:
     return _best(max, _lower_bounds(inst))
 
 
-# (cg, s) pairs whose two-supplier-per-table base schedule needs 3 dinners
-# instead of max(cg, ceil(s/2)) = 2: with four (or three) suppliers and two
-# customer groups there is no 2-dinner seating, because the two tables of a
-# dinner would have to use both pairs of one perfect matching while each
-# group's own pairs must sit in different dinners.
+# (cg, s) pairs where sigma = 2 needs 3 dinners, not max(cg, ceil(s/2)) = 2:
+# no 2-dinner seating exists (optimum_floor gives the proof).
 SIGMA2_THREE_DINNER_PAIRS = frozenset({(2, 3), (2, 4)})
+
+
+def optimum_floor(inst: Instance) -> int:
+    """The fewest dinners proven necessary: lb_best, raised to 3 for sigma = 2
+    and (cg, s) in SIGMA2_THREE_DINNER_PAIRS.
+
+    Proof of the exception: in two dinners each customer meets its s >= 3
+    suppliers at two tables of at most two.  As cg = 2, some dinner seats two
+    customers at different, hence disjoint, tables; each one's table there lies
+    inside the other's table of the other dinner, and with s >= 3 that repeats
+    a supplier pair or seats one supplier at two tables of a dinner.
+    """
+    exception = inst.sigma == 2 and (inst.customer_groups, inst.s) in SIGMA2_THREE_DINNER_PAIRS
+    return max(lb_best(inst), 3 if exception else 0)
 
 
 def sigma2_base_tables(cg: int, s: int) -> int:

@@ -3,7 +3,8 @@
 Exit codes: 0 success/feasible, 1 semantic failure (infeasible schedule or a
 reference-value mismatch), 2 bad parameters or unparseable input, 3 strategy
 preconditions not met, 4 search budget exhausted while building, 5 solver
-budget exhausted without a proof.
+budget exhausted without a proof, 141 standard output closed by its reader
+(as in `dinners solve ... | head`), with no traceback.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import argparse
 import decimal
 import json
+import os
 import sys
 
 from . import bounds
@@ -25,14 +27,13 @@ from .model import (
     validate_schedule,
 )
 from .solver import (
-    BUDGET_EXHAUSTED,
     INFEASIBLE_AT_BOUND,
     OPTIMAL,
     SolveLimits,
     default_node_budget,
     solve_exact,
 )
-from .transforms import ROUTES, best_generic, dispatch_optimal
+from .transforms import ROUTES, best_feasible
 
 EXIT_OK = 0
 EXIT_SEMANTIC = 1
@@ -40,6 +41,7 @@ EXIT_PARSE = 2
 EXIT_PRECONDITION = 3
 EXIT_BUILD_BUDGET = 4
 EXIT_SOLVE_BUDGET = 5
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a writer killed by it
 
 # Embedded reference values: five instances exercising each lower bound's
 # strict-dominance row (starred index) and two upper-bound comparisons.
@@ -88,20 +90,7 @@ def cmd_bounds(args) -> int:
     inst = _instance(args)
     rep = bounds.compute_bounds(inst)
     if args.json:
-        obj = {
-            "lb1": rep.lb1,
-            "lb2": rep.lb2,
-            "lb3": rep.lb3,
-            "lb4": rep.lb4,
-            "lb5": rep.lb5,
-            "lb_best": rep.lb_best,
-            "ub1": rep.ub1,
-            "ub1_improved": rep.ub1_improved,
-            "ub2": rep.ub2,
-            "ub_eucli": rep.ub_eucli,
-            "ub_best": rep.ub_best,
-        }
-        print(json.dumps(obj))
+        print(json.dumps(vars(rep)))
         return EXIT_OK
     na = "n/a"
     print(f"instance t={inst.t} s={inst.s} c={inst.c} sigma={inst.sigma} gamma={inst.gamma}")
@@ -120,15 +109,10 @@ def cmd_build(args) -> int:
     inst = _instance(args)
     try:
         if args.strategy == "auto":
-            # Never exits on a Howell budget: the generic routes always build.
-            sched = dispatch_optimal(inst)
-            proven = sched is not None
-            if not proven:
-                sched = best_generic(inst)
+            # Never exits on a Howell budget: the total routes always build.
+            sched, _ = best_feasible(inst)
         else:
             sched = ROUTES[args.strategy](inst, DEFAULT_NODE_BUDGET)
-            hit = dispatch_optimal(inst)
-            proven = hit is not None and hit.dinner_count() == sched.dinner_count()
     except ConstructionError as e:
         print(f"strategy not applicable: {e}", file=sys.stderr)
         return EXIT_PRECONDITION
@@ -142,6 +126,7 @@ def cmd_build(args) -> int:
         return EXIT_SEMANTIC
     if args.out and _write_out(args.out, encode_schedule(sched)):
         return EXIT_PARSE
+    proven = sched.dinner_count() == bounds.optimum_floor(inst)
     print(f"dinners={sched.dinner_count()} optimal={'yes' if proven else 'unknown'}"
           + (f" written={args.out}" if args.out and args.out != "-" else ""))
     return EXIT_OK
@@ -202,11 +187,7 @@ def cmd_solve(args) -> int:
                     for tab in dinner.tables
                 ]
                 print(f"  dinner {d}: " + " ".join(parts))
-    if result.status == BUDGET_EXHAUSTED:
-        return EXIT_SOLVE_BUDGET
-    if result.status not in (OPTIMAL, INFEASIBLE_AT_BOUND):
-        return EXIT_SOLVE_BUDGET
-    return EXIT_OK
+    return EXIT_OK if result.status in (OPTIMAL, INFEASIBLE_AT_BOUND) else EXIT_SOLVE_BUDGET
 
 
 def cmd_reference_tables(args) -> int:
@@ -292,9 +273,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        try:
+            args = build_parser().parse_args(argv)
+            return args.func(args)
+        finally:
+            sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader left early (`| head`): stop the exit-time flush failing too.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
 
 
 if __name__ == "__main__":

@@ -1,12 +1,13 @@
-"""Schedule rewrites and the generic feasible-schedule pipelines.
+"""Schedule rewrites, the generic feasible-schedule pipelines and the routes.
 
 The rewrites turn a feasible schedule for one parameter set into one for
 another (fewer tables, smaller supplier cap, grouped customers, merged
 supplier pools); the pipelines compose them with the special-case builders to
-produce witness schedules matching the closed-form upper bounds.  PROVEN
-lists the builders of the paper's optimal cases and GENERIC the pipelines
-that build every instance; dispatch_optimal, best_feasible and the CLI's
-build strategies all read them.
+produce witness schedules matching the closed-form upper bounds.  ROUTES
+lists the paper's special cases and then the pipelines that build every
+instance; best_feasible walks it, and the CLI's build strategies name its
+entries.  A schedule is optimal when its dinner count equals
+bounds.optimum_floor, whichever route built it.
 """
 
 from __future__ import annotations
@@ -234,58 +235,47 @@ def build_eucli(inst: Instance) -> Schedule:
     return combined
 
 
-# Each route is build(inst, node_budget); it raises ConstructionError when the
-# instance fails its preconditions.  Entries look builders up by module-level
-# name at call time, so replacing a module attribute (to trace or stub it)
-# reaches them.  PROVEN holds the routes of the paper's optimal cases in
-# dispatch order: the first of them that builds is optimal, a later one need
-# not be (prime accepts some c <= gamma, where trivial does better).
-PROVEN: dict[str, Callable[[Instance, int | None], Schedule]] = {
+# Each route is build(inst, node_budget), in the order best_feasible walks
+# them.  A special case raises ConstructionError when the instance fails its
+# preconditions; TOTAL_ROUTES build every instance.  Entries look builders up
+# by module-level name at call time, so replacing a module attribute (to trace
+# or stub it) reaches them.  build_ub2 is no route of its own: where it
+# applies, ceil(s/sigma) <= cg, build_eucli has a single block and returns
+# build_ub2(inst).
+ROUTES: dict[str, Callable[[Instance, int | None], Schedule]] = {
     "trivial": lambda inst, b: build_trivial(inst),
     "sigma1": lambda inst, b: build_sigma1(inst),
     "prime": lambda inst, b: build_prime(inst),
     "howell": lambda inst, b: build_howell_schedule(inst, b),
     "caspar": lambda inst, b: build_cas_par(inst, b),
-}
-
-# The generic pipelines, in tie-break order.  Both build every instance.
-# build_ub2 is no route of its own: where it applies, ceil(s/sigma) <= cg,
-# build_eucli has a single block and returns build_ub2(inst).
-GENERIC: dict[str, Callable[[Instance, int | None], Schedule]] = {
     "eucli": lambda inst, b: build_eucli(inst),
     "ub1": lambda inst, b: build_ub1(inst, b),
 }
-
-ROUTES = {**PROVEN, **GENERIC}
-
-
-def dispatch_optimal(
-    inst: Instance, node_budget: int | None = DEFAULT_NODE_BUDGET
-) -> Schedule | None:
-    """The schedule of the first proven route that builds, or None.  A route
-    whose preconditions fail or whose Howell search runs out is skipped."""
-    for build in PROVEN.values():
-        try:
-            return build(inst, node_budget)
-        except (ConstructionError, SearchBudgetExceeded):
-            continue
-    return None
-
-
-def best_generic(inst: Instance, node_budget: int | None = DEFAULT_NODE_BUDGET) -> Schedule:
-    """Fewest-dinner schedule among the generic routes; ties go to the earlier
-    route.  A ConstructionError from one of them is a fault and propagates."""
-    return min(
-        (build(inst, node_budget) for build in GENERIC.values()), key=Schedule.dinner_count
-    )
+TOTAL_ROUTES = frozenset({"eucli", "ub1"})
 
 
 def best_feasible(
     inst: Instance, node_budget: int | None = DEFAULT_NODE_BUDGET
 ) -> tuple[Schedule, int]:
-    """A proven-optimal schedule when a proven route builds, otherwise the
-    best generic one; returns the schedule and its dinner count."""
-    sched = dispatch_optimal(inst, node_budget)
-    if sched is None:
-        sched = best_generic(inst, node_budget)
-    return sched, sched.dinner_count()
+    """Fewest-dinner schedule over ROUTES and its dinner count.
+
+    Ties go to the earlier route, and the walk stops once the kept schedule
+    reaches bounds.optimum_floor, which no schedule beats.  A special case
+    whose preconditions fail or whose Howell search runs out is skipped; an
+    error from a total route is a fault and propagates.
+    """
+    floor = bounds.optimum_floor(inst)
+    best: Schedule | None = None
+    for name, build in ROUTES.items():
+        try:
+            sched = build(inst, node_budget)
+        except (ConstructionError, SearchBudgetExceeded):
+            if name in TOTAL_ROUTES:
+                raise
+            continue
+        if best is None or sched.dinner_count() < best.dinner_count():
+            best = sched
+            if best.dinner_count() == floor:
+                break
+    assert best is not None
+    return best, best.dinner_count()

@@ -20,6 +20,7 @@ from dinners.bounds import (
     lb5_term,
     lb_best,
     lp_value_scan,
+    optimum_floor,
     ub1,
     ub1_improved,
     ub2,
@@ -244,3 +245,13 @@ def test_lb5_is_constant_time_in_sigma(monkeypatch):
     calls.clear()
     assert lb5(Instance(2, 1, 9, 10**6, 1)) == 5  # s = 1: the term falls with j, peaks at j = 2
     assert set(calls) == {2}
+
+
+def test_optimum_floor_is_lb_best_raised_to_3_on_the_three_dinner_shapes():
+    for params in [(2, 4, 2, 2, 1), (2, 3, 2, 2, 1), (5, 4, 6, 2, 3)]:
+        inst = Instance(*params)
+        assert lb_best(inst) == 2 and optimum_floor(inst) == 3, params
+    # sigma != 2, or another (cg, s): the floor is lb_best.
+    for params in [(2, 4, 2, 3, 1), (2, 4, 2, 1, 1), (2, 5, 2, 2, 1), (2, 4, 3, 2, 1)]:
+        inst = Instance(*params)
+        assert optimum_floor(inst) == lb_best(inst), params

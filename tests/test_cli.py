@@ -183,6 +183,32 @@ def test_solve_budget_exit_code(capsys):
     assert "BudgetExhausted" in out
 
 
+def test_solve_feasible_only_exits_5_with_its_witness(capsys):
+    # The level budget runs out below 18, so 18 is feasible but not proven.
+    code, out, _ = run(capsys, "solve", "1", "4", "5", "2", "1", "--budget", "2000")
+    assert code == 5
+    lines = out.splitlines()
+    assert lines[0] == "status=FeasibleOnly value=18 nodes=9679 proven_lower_bound=14"
+    assert [ln.split(":")[0] for ln in lines[1:]] == [f"  dinner {d}" for d in range(1, 19)]
+
+
+@pytest.mark.parametrize("argv", [["solve", "1", "4", "5", "2", "1", "--budget", "2000"],
+                                  ["build", "2", "5", "6", "2", "3", "--out", "-"]],
+                         ids=["solve", "build"])
+def test_closed_stdout_pipe_exits_141_without_a_traceback(argv):
+    env_path = str(Path(dinners.__file__).resolve().parents[1])
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "dinners", *argv], stdout=write_end,
+                              stderr=subprocess.PIPE, text=True, timeout=60,
+                              env={**os.environ, "PYTHONPATH": env_path})
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 141
+    assert proc.stderr == ""
+
+
 def test_solve_witness_file(tmp_path, capsys):
     out_file = tmp_path / "witness.json"
     code, out, _ = run(capsys, "solve", "2", "5", "6", "2", "3", "--out", str(out_file))
@@ -225,7 +251,7 @@ def test_build_auto_falls_back_when_howell_budget_runs_out(monkeypatch, capsys):
     # The howell route needs H(6,12), which has no closed form (6 = 2 mod 4).
     code, out, _ = run(capsys, "build", "6", "12", "10", "2", "2", "--out", "-")
     assert code == 0
-    assert "optimal=unknown" in out
+    assert "dinners=12 optimal=unknown" in out  # the floor is 6
     sched = decode_schedule(out[: out.index("\ndinners=") + 1])
     assert validate_schedule(sched).feasible
     # An explicit strategy still reports the exhausted budget.
@@ -245,14 +271,26 @@ def test_build_rejects_an_infeasible_schedule(monkeypatch, capsys):
     assert "infeasible" in err and "dinners=" not in out
 
 
-def test_build_explicit_proven_route_compares_with_dispatch(capsys):
-    # prime builds 2 dinners for c = 1, but trivial (c <= gamma) needs 1.
+def test_build_explicit_route_is_optimal_only_at_the_floor(capsys):
+    # prime builds 2 dinners for c = 1, but trivial (c <= gamma) needs 1 = lb_best.
     code, out, _ = run(capsys, "build", "1", "4", "1", "4", "1", "--strategy", "prime")
     assert code == 0
     assert "dinners=2 optimal=unknown" in out
     code, out, _ = run(capsys, "build", "1", "4", "1", "4", "1", "--strategy", "trivial")
     assert code == 0
     assert "dinners=1 optimal=yes" in out
+
+
+@pytest.mark.parametrize("strategy, printed", [
+    ("auto", "dinners=3 optimal=yes"),
+    ("ub1", "dinners=3 optimal=yes"),
+    ("eucli", "dinners=4 optimal=unknown"),
+])
+def test_build_generic_route_is_optimal_at_lb_best(capsys, strategy, printed):
+    # No special case applies (sigma = 3, c > gamma), and lb4 = lb_best = 3.
+    code, out, _ = run(capsys, "build", "2", "5", "2", "3", "1", "--strategy", strategy)
+    assert code == 0
+    assert printed in out
 
 
 def test_solve_rejects_non_positive_budgets(capsys):

@@ -1,11 +1,17 @@
 """Schedule builders: feasibility and exact dinner counts per closed form."""
 
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 
 from dinners import constructions
-from dinners.bounds import ceil_div, lb5_term, lb_best, sigma2_base_dinners, sigma2_base_tables
+from dinners.bounds import (
+    ceil_div,
+    lb5_term,
+    optimum_floor,
+    sigma2_base_dinners,
+    sigma2_base_tables,
+)
 from dinners.constructions import (
     ConstructionError,
     build_cas_par,
@@ -16,8 +22,9 @@ from dinners.constructions import (
     cas_par_dinner_count,
     exceptional_schedule,
 )
+from dinners.howell import DEFAULT_NODE_BUDGET, SearchBudgetExceeded
 from dinners.model import Instance, validate_schedule
-from dinners.transforms import dispatch_optimal
+from dinners.transforms import ROUTES, TOTAL_ROUTES
 
 
 def feasible(sched) -> bool:
@@ -247,27 +254,36 @@ def test_prime_rejections():
         build_prime(Instance(1, 4, 2, 1, 5))  # sigma < p and gamma != 1
 
 
+def special_route_counts(params) -> set[int]:
+    """Dinner counts of the special-case routes that build this instance, each
+    checked to validate and to land exactly on optimum_floor."""
+    inst = Instance(*params)
+    counts = set()
+    for name, build in ROUTES.items():
+        if name in TOTAL_ROUTES:
+            continue
+        try:
+            sched = build(inst, DEFAULT_NODE_BUDGET)
+        except (ConstructionError, SearchBudgetExceeded):
+            continue
+        assert feasible(sched), (name, inst)
+        assert sched.dinner_count() == optimum_floor(inst), (name, inst)
+        counts.add(sched.dinner_count())
+    return counts
+
+
 def test_dispatch_examples():
-    assert dispatch_optimal(Instance(1, 4, 2, 4, 3)).dinner_count() == 1
-    assert dispatch_optimal(Instance(2, 5, 6, 2, 3)).dinner_count() == 3
-    # c <= gamma always falls to the one-table route, even with sigma >= 3
-    assert dispatch_optimal(Instance(7, 9, 4, 3, 5)).dinner_count() == 3
-    # sigma >= 3 with many customers: no special case covers it
-    assert dispatch_optimal(Instance(7, 9, 14, 3, 2)) is None
+    assert special_route_counts((1, 4, 2, 4, 3)) == {1}
+    assert special_route_counts((2, 5, 6, 2, 3)) == {3}
+    # c <= gamma always builds on one table, even with sigma >= 3
+    assert special_route_counts((7, 9, 4, 3, 5)) == {3}
+    # sigma >= 3 with many customers: no special case applies
+    assert special_route_counts((7, 9, 14, 3, 2)) == set()
 
 
 def test_dispatch_output_always_validates():
-    import itertools
-
-    hits = 0
-    for t, s, c, sg, gm in itertools.product(
-        range(1, 5), range(1, 9), range(1, 9), range(1, 4), range(1, 4)
-    ):
-        inst = Instance(t, s, c, sg, gm)
-        sched = dispatch_optimal(inst)
-        if sched is None:
-            continue
-        assert feasible(sched), inst
-        assert sched.dinner_count() >= lb_best(inst), inst
-        hits += 1
+    # On this grid every special case that builds is optimal by the bound.  (Off it,
+    # prime also accepts c <= gamma, where (1, 4, 1, 4, 1) builds 2 against a floor of 1.)
+    grid = product(range(1, 5), range(1, 9), range(1, 9), range(1, 4), range(1, 4))
+    hits = sum(1 for params in grid if special_route_counts(params))
     assert hits > 500
