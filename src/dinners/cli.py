@@ -27,10 +27,10 @@ from .model import (
     validate_schedule,
 )
 from .solver import (
+    DEFAULT_SOLVE_NODE_BUDGET,
     INFEASIBLE_AT_BOUND,
     OPTIMAL,
     SolveLimits,
-    default_node_budget,
     solve_exact,
 )
 from .transforms import ROUTES, best_feasible
@@ -161,14 +161,9 @@ def cmd_validate(args) -> int:
 
 def cmd_solve(args) -> int:
     inst = _instance(args)
-    try:
-        node_budget = args.budget if args.budget is not None else default_node_budget()
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_PARSE
     limits = SolveLimits(
         max_dinners=args.max_dinners,
-        node_budget=node_budget,
+        node_budget=args.budget,
         time_budget=args.timeout,
     )
     result = solve_exact(inst, limits)
@@ -258,7 +253,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="exact minimum dinner count")
     _add_instance_args(p)
-    p.add_argument("--budget", type=_positive(int), default=None, help="search node budget")
+    p.add_argument("--budget", type=_positive(int), default=DEFAULT_SOLVE_NODE_BUDGET,
+                   help="search node budget per deepening level")
     p.add_argument("--timeout", type=_positive(float), default=None, help="time budget in seconds")
     p.add_argument("--max-dinners", type=int, default=None, help="largest dinner count to try")
     p.add_argument("--out", help="write the witness schedule to this file ('-' for stdout)")

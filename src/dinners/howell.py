@@ -24,7 +24,29 @@ class SearchBudgetExceeded(RuntimeError):
 
 
 class _Found(Exception):
-    """Raised out of the search frames when the grid is full."""
+    """Raised out of a search frame that has reached an answer."""
+
+
+def run_frames(root) -> bool:
+    """Drive a depth-first search of generator frames: True on _Found, else
+    False once every frame is exhausted.
+
+    A frame yields its children's frames and undoes its own move when
+    resumed; a loop drives a list of them, so the search depth is not
+    limited by Python's recursion limit.
+    """
+    stack = [root]
+    push, pop = stack.append, stack.pop
+    try:
+        while stack:
+            for child in stack[-1]:
+                push(child)
+                break
+            else:
+                pop()
+    except _Found:
+        return True
+    return False
 
 
 @dataclass(frozen=True)
@@ -130,25 +152,11 @@ class _Search:
             self.partner_used[2 * i + 1] = 1 << (2 * i)
 
     def run(self) -> HowellDesign | None:
-        """Fill the grid depth first.  Each frame is a generator that yields
-        its children's frames and undoes its placement when resumed; a loop
-        drives a list of them, so the search depth (one frame per placed
-        cell) is not limited by Python's recursion limit."""
-        try:
-            first = self._next_row(1)
-            if first is True:
-                raise _Found
-            stack = [] if first is None else [first]
-            push, pop = stack.append, stack.pop
-            while stack:
-                for child in stack[-1]:
-                    push(child)
-                    break
-                else:
-                    pop()
-            return None
-        except _Found:
+        """Fill the grid depth first, one frame per placed cell."""
+        first = self._next_row(1)
+        if first is True or first is not None and run_frames(first):
             return HowellDesign(self.m, self.n2, tuple(tuple(row) for row in self.grid))
+        return None
 
     def _next_row(self, r: int):
         """Rows 0..r-1 are full: None if the rest cannot be filled, True if

@@ -27,6 +27,11 @@ ID_OUT_OF_RANGE = "IdOutOfRange"
 # the rest; every other kind is listed in full.
 MAX_PAIRS_MISSING_LISTED = 10_000
 
+# validate_schedule keeps the customers a supplier has met in a set while it
+# holds at most c >> SET_LIMIT_SHIFT of them, and in a c-bit mask from then
+# on: a set costs some 300 bits an id, so past that point the mask is smaller.
+SET_LIMIT_SHIFT = 8
+
 
 class ScheduleDecodeError(ValueError):
     """Base class for schedule text that cannot be decoded."""
@@ -152,16 +157,19 @@ def validate_schedule(sched: Schedule) -> ValidationReport:
     Checks: per-dinner table count, per-table caps, one table per person per
     dinner, every supplier-customer pair met exactly once, supplier pairs
     co-seated at most once, and id ranges.  People may skip dinners entirely.
-    Memory grows with the schedule and its largest customer id, not with
-    s*c: suppliers who meet no one hold no state, and PairMissing is listed
-    only up to its cap.
+    A supplier keeps the customers it has met in a set, or in a c-bit mask
+    once that is the smaller, so this bookkeeping grows with the meetings in
+    the schedule but not much past one bit a supplier-customer pair, and not
+    with the largest id.  Suppliers who meet no one hold no state, and
+    PairMissing is listed only up to its cap.
     """
     inst = sched.instance
     t, s, c, sigma, gamma = inst.t, inst.s, inst.c, inst.sigma, inst.gamma
     violations: list[tuple[str, str]] = []
-    met: defaultdict[int, int] = defaultdict(int)  # met[i]: bit k set once supplier i has met customer k
-    met_again: defaultdict[int, int] = defaultdict(int)  # the same, for customers met twice or more
-    repeats: dict[tuple[int, int], int] = {}  # (i, k): meetings, for the pairs in met_again
+    set_limit = c >> SET_LIMIT_SHIFT
+    # met[i]: the in-range customers supplier i has met, as a set or a mask
+    met: defaultdict[int, set[int] | int] = defaultdict(set if set_limit else int)
+    repeats: defaultdict[int, dict[int, int]] = defaultdict(dict)  # repeats[i][k]: meetings, if more than one
     sup_pair_count: dict[tuple[int, int], int] = {}
 
     for d, dinner in enumerate(sched.dinners, start=1):
@@ -185,26 +193,44 @@ def validate_schedule(sched: Schedule) -> ValidationReport:
                     violations.append((ID_OUT_OF_RANGE, f"dinner {d} table {x}: supplier {i} not in 1..{s}"))
                 if i in seen_sups:
                     violations.append((PERSON_AT_TWO_TABLES, f"dinner {d}: supplier {i} sits at two tables"))
-            table_custs = 0
+            in_range = custs
             for k in custs:
                 if not 1 <= k <= c:
                     violations.append((ID_OUT_OF_RANGE, f"dinner {d} table {x}: customer {k} not in 1..{c}"))
-                else:
-                    table_custs |= 1 << k
+                    in_range = None
                 if k in seen_custs:
                     violations.append((PERSON_AT_TWO_TABLES, f"dinner {d}: customer {k} sits at two tables"))
             seen_sups |= sups
             seen_custs |= custs
             # Meetings are counted for ids in range only, which are the ones
             # reported below.
+            if in_range is None:
+                in_range = {k for k in custs if 1 <= k <= c}
+            table_mask = 0
             for i in sups:
                 if 1 <= i <= s:
-                    again = met[i] & table_custs
-                    met[i] |= table_custs
-                    if again:
-                        met_again[i] |= again
-                        for k in _bit_positions(again):
-                            repeats[i, k] = repeats.get((i, k), 1) + 1
+                    was = met[i]
+                    if type(was) is set:
+                        if len(was) + len(in_range) <= set_limit:
+                            if not was.isdisjoint(in_range):
+                                counts = repeats[i]
+                                for k in was & in_range:
+                                    counts[k] = counts.get(k, 1) + 1
+                            was |= in_range
+                            continue
+                        was = _mask(was)
+                    if not table_mask:
+                        if len(in_range) < 64:  # a few shifts beat building a digit string
+                            for k in in_range:
+                                table_mask |= 1 << k
+                        else:
+                            table_mask = _mask(in_range)
+                    if was & table_mask:
+                        counts = repeats[i]
+                        for k in in_range:
+                            if was >> k & 1:
+                                counts[k] = counts.get(k, 1) + 1
+                    met[i] = was | table_mask
             if n_sups > 1:
                 ordered = sorted(sups)
                 for a in range(len(ordered)):
@@ -215,27 +241,31 @@ def validate_schedule(sched: Schedule) -> ValidationReport:
     # Pair violations go in (supplier, customer) order.  While PairMissing
     # may still be listed, suppliers are walked one by one; the first `room`
     # customers a supplier has not met are all at most room + (customers met).
-    unlisted = s * c - sum(m.bit_count() for m in met.values())
+    unlisted = s * c - sum(m.bit_count() if type(m) is int else len(m) for m in met.values())
     room = MAX_PAIRS_MISSING_LISTED
     i = 1
     while room and i <= s:
-        was = met.get(i, 0)
-        top = min(c, room + was.bit_count())
-        missing = (1 << top + 1) - 2 & ~was
-        for k in _bit_positions(missing | met_again.get(i, 0)):
-            n = repeats.get((i, k))
-            if n is not None:
-                violations.append((PAIR_REPEATED, f"supplier {i} and customer {k} meet {n} times"))
-            elif room:
+        was = met.get(i, ())
+        again = repeats.get(i, {})
+        n_met = was.bit_count() if type(was) is int else len(was)
+        top = min(c, room + n_met) if n_met < c else 0  # no scan once all c are met
+        if type(was) is int:
+            unmet = bin(~was & (1 << top + 1) - 2)[:1:-1]  # unmet[k] == "1": customer k is unmet
+            missing = [k for k, bit in enumerate(unmet) if bit == "1"][:room]
+        else:
+            missing = [k for k in range(1, top + 1) if k not in was][:room]
+        room -= len(missing)
+        unlisted -= len(missing)
+        for k in sorted([*missing, *again]):
+            if k in again:
+                violations.append((PAIR_REPEATED, f"supplier {i} and customer {k} meet {again[k]} times"))
+            else:
                 violations.append((PAIR_MISSING, f"supplier {i} and customer {k} never meet"))
-                room -= 1
-                unlisted -= 1
         i += 1
     # Then only the suppliers with repeated pairs are left to list.
-    for j in sorted(met_again):
+    for j in sorted(repeats):
         if j >= i:
-            for k in _bit_positions(met_again[j]):
-                n = repeats[j, k]
+            for k, n in sorted(repeats[j].items()):
                 violations.append((PAIR_REPEATED, f"supplier {j} and customer {k} meet {n} times"))
     for (i, j), n in sorted(sup_pair_count.items()):
         if n > 1:
@@ -245,9 +275,12 @@ def validate_schedule(sched: Schedule) -> ValidationReport:
                             unlisted_missing=unlisted)
 
 
-def _bit_positions(mask: int) -> list[int]:
-    """The set bits of mask, lowest first, in time linear in its length."""
-    return [k for k, bit in enumerate(reversed(bin(mask)[2:])) if bit == "1"]
+def _mask(ids: set[int] | frozenset[int]) -> int:
+    """The int with bit k set for each k in ids, in time linear in max(ids)."""
+    digits = bytearray(b"0") * (max(ids, default=0) + 1)
+    for k in ids:
+        digits[k] = 49  # ord("1")
+    return int(digits[::-1], 2)
 
 
 def encode_schedule(sched: Schedule) -> str:

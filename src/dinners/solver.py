@@ -25,18 +25,18 @@ it.
 
 Explicit stack: each table slot is a generator frame that places one
 candidate, yields the frame of the next slot, and undoes the placement when
-resumed.  A loop drives a list of such frames, so the search depth (one frame
-a table) is not limited by Python's recursion limit.
+resumed.  howell.run_frames drives them, as it drives the Howell search, so
+the search depth (one frame a table) is not limited by Python's recursion
+limit.  A level that runs out of nodes or time raises SearchBudgetExceeded.
 """
 
 from __future__ import annotations
 
-import os
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import bounds
-from .howell import SearchBudgetExceeded
+from .howell import SearchBudgetExceeded, _Found, run_frames
 from .model import Dinner, Instance, Schedule, TableSeating, validate_schedule
 
 OPTIMAL = "Optimal"
@@ -44,34 +44,23 @@ FEASIBLE_ONLY = "FeasibleOnly"
 INFEASIBLE_AT_BOUND = "Infeasible_at_bound"
 BUDGET_EXHAUSTED = "BudgetExhausted"
 
-ENV_NODE_BUDGET = "DINNER_NODE_BUDGET"
 DEFAULT_SOLVE_NODE_BUDGET = 2_000_000
-
-
-def default_node_budget() -> int:
-    raw = os.environ.get(ENV_NODE_BUDGET)
-    if raw is None:
-        return DEFAULT_SOLVE_NODE_BUDGET
-    try:
-        value = int(raw)
-    except ValueError:
-        value = 0  # reported below, like any other value that is not positive
-    if value < 1:
-        raise ValueError(f"{ENV_NODE_BUDGET} must be a positive integer, got {raw!r}")
-    return value
 
 
 @dataclass(frozen=True)
 class SolveLimits:
     """Search limits: node_budget applies to each deepening level, the time
-    budget to the whole call."""
+    budget (None: no deadline) to the whole call, and max_dinners (None:
+    ub_best) is the last level searched."""
 
     max_dinners: int | None = None
-    node_budget: int | None = None
+    node_budget: int = DEFAULT_SOLVE_NODE_BUDGET
     time_budget: float | None = None
 
-    def resolved_node_budget(self) -> int | None:
-        return self.node_budget if self.node_budget is not None else default_node_budget()
+    def __post_init__(self):
+        n = self.node_budget
+        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+            raise ValueError(f"node_budget must be a positive integer, got {n!r}")
 
 
 @dataclass(frozen=True)
@@ -81,14 +70,6 @@ class SolveResult:
     witness: Schedule | None
     nodes: int
     lower_bound: int
-
-
-class _Budget(Exception):
-    pass
-
-
-class _Found(Exception):
-    pass
 
 
 class _Keys:
@@ -131,12 +112,12 @@ class _Level:
     """One depth-limited search: is there a feasible schedule in <= D dinners?"""
 
     def __init__(self, inst: Instance, keys: _Keys, d_max: int, prune: bool,
-                 node_cap: int | None, deadline: float | None):
+                 node_cap: int, deadline: float | None):
         self.inst = inst
         self.keys = keys
         self.d_max = d_max
         self.prune = prune
-        self.node_cap = node_cap if node_cap is not None else float("inf")
+        self.node_cap = node_cap
         self.deadline = deadline
         self.nodes = 0
         s, c = inst.s, inst.c
@@ -219,18 +200,7 @@ class _Level:
     def run(self) -> Schedule | None:
         if self.unmet == 0:  # cannot happen for valid instances (s, c >= 1)
             return Schedule.of(self.inst, [])
-        if not self._capacity_ok(self.d_max):
-            return None
-        stack = [self._frame(0, 0, 0, 0, 0, 0)]
-        push, pop = stack.append, stack.pop
-        try:
-            while stack:
-                for child in stack[-1]:
-                    push(child)
-                    break
-                else:
-                    pop()
-        except _Found:
+        if self._capacity_ok(self.d_max) and run_frames(self._frame(0, 0, 0, 0, 0, 0)):
             return self.witness
         return None
 
@@ -267,9 +237,9 @@ class _Level:
             nodes = self.nodes + 1
             self.nodes = nodes
             if nodes > node_cap:
-                raise _Budget
+                raise SearchBudgetExceeded
             if deadline is not None and not nodes & 4095 and time.monotonic() > deadline:
-                raise _Budget
+                raise SearchBudgetExceeded
             nsup, ncust = len(sups), len(custs)
             for i in sups:
                 met[i] |= cmask
@@ -376,7 +346,6 @@ def solve_exact(
     (slow; used to cross-check soundness).
     """
     limits = limits or SolveLimits()
-    node_cap = limits.resolved_node_budget()
     deadline = (
         time.monotonic() + limits.time_budget if limits.time_budget is not None else None
     )
@@ -388,10 +357,10 @@ def solve_exact(
     clean_prefix = True
     proven_lb = start
     for d_max in range(start, cap + 1):
-        level = _Level(inst, keys, d_max, prune, node_cap, deadline)
+        level = _Level(inst, keys, d_max, prune, limits.node_budget, deadline)
         try:
             witness = level.run()
-        except _Budget:
+        except SearchBudgetExceeded:
             nodes += level.nodes
             cut = True
             clean_prefix = False
@@ -420,14 +389,7 @@ def certify_optimal(sched: Schedule, limits: SolveLimits | None = None) -> bool:
         raise ValueError("certify_optimal needs a feasible schedule")
     count = sched.dinner_count()
     limits = limits or SolveLimits()
-    result = solve_exact(
-        sched.instance,
-        SolveLimits(
-            max_dinners=count - 1,
-            node_budget=limits.resolved_node_budget(),
-            time_budget=limits.time_budget,
-        ),
-    )
+    result = solve_exact(sched.instance, replace(limits, max_dinners=count - 1))
     if result.status == INFEASIBLE_AT_BOUND:
         return True
     if result.status in (OPTIMAL, FEASIBLE_ONLY):

@@ -228,18 +228,6 @@ def test_reference_tables(capsys):
     assert not any(ln.startswith("FAIL") for ln in lines)
 
 
-def test_default_budget_env(monkeypatch):
-    from dinners.solver import default_node_budget
-
-    monkeypatch.setenv("DINNER_NODE_BUDGET", "12345")
-    assert default_node_budget() == 12345
-    monkeypatch.setenv("DINNER_NODE_BUDGET", "0")
-    with pytest.raises(ValueError):
-        default_node_budget()
-    monkeypatch.delenv("DINNER_NODE_BUDGET")
-    assert default_node_budget() == 2_000_000
-
-
 def test_build_auto_falls_back_when_howell_budget_runs_out(monkeypatch, capsys):
     import dinners.howell as howell
 
@@ -293,22 +281,23 @@ def test_build_generic_route_is_optimal_at_lb_best(capsys, strategy, printed):
     assert printed in out
 
 
+def test_solve_budget_defaults_to_two_million_nodes():
+    from dinners.cli import build_parser
+    from dinners.solver import SolveLimits
+
+    assert SolveLimits().node_budget == 2_000_000
+    assert build_parser().parse_args(["solve", "1", "2", "2", "1", "1"]).budget == 2_000_000
+    for bad in (None, 0, 1.5):
+        with pytest.raises(ValueError, match="node_budget must be a positive integer"):
+            SolveLimits(node_budget=bad)
+
+
 def test_solve_rejects_non_positive_budgets(capsys):
     for flag, value in [("--budget", "0"), ("--budget", "-5"), ("--timeout", "0"),
                         ("--timeout", "-1.5"), ("--timeout", "nan")]:
         code, _, err = run(capsys, "solve", "1", "2", "2", "1", "1", flag, value)
         assert code == 2, (flag, value)
         assert "must be positive" in err
-
-
-def test_solve_rejects_a_non_integer_env_budget(monkeypatch, capsys):
-    monkeypatch.setenv("DINNER_NODE_BUDGET", "lots")
-    code, out, err = run(capsys, "solve", "1", "2", "2", "1", "1")
-    assert code == 2 and out == ""
-    assert "DINNER_NODE_BUDGET must be a positive integer" in err
-    # An explicit --budget does not read the variable.
-    code, out, _ = run(capsys, "solve", "1", "2", "2", "1", "1", "--budget", "100")
-    assert code == 0 and "status=Optimal value=4" in out
 
 
 def test_bounds_human_reports_the_lb5_argmax_at_huge_sigma(capsys):

@@ -3,6 +3,7 @@
 import json
 import random
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
@@ -321,6 +322,60 @@ def test_pair_missing_is_counted_in_full_and_listed_up_to_the_cap(s, c, met):
     assert report.violations[-1] == (PAIR_MISSING, f"supplier 1 and customer {MAX_PAIRS_MISSING_LISTED} never meet")
     assert not report.feasible
     assert elapsed < 2.0
+
+
+@pytest.mark.parametrize("times", [1, 2])
+def test_validator_memory_follows_the_schedule_not_the_largest_id(times):
+    """One table seating customer 10**9, once or twice: a few sets, not a 10**9-bit mask."""
+    c = 10**9
+    dinner = Dinner.of([TableSeating.of([1], [c])])
+    sched = Schedule.of(Instance(1, 1, c, 1, 1), [dinner] * times)
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        report = validate_schedule(sched)
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    if times == 1:
+        assert report.total == c - 1
+    else:
+        assert report.violations[-1] == (PAIR_REPEATED, f"supplier 1 and customer {c} meet 2 times")
+    assert peak < 16 * 2**20
+    assert elapsed < 2.0
+
+
+@given(sched=broken_schedules(), shift=st.integers(0, 3))
+def test_validator_matches_the_dict_reference_as_sets_turn_into_masks(sched, shift):
+    """At shift 0 a supplier keeps its customers in a set unless it meets one
+    twice; at larger shifts the set turns into a mask part way through."""
+    want = dict_validator(sched)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(model, "SET_LIMIT_SHIFT", shift)
+        report = validate_schedule(sched)
+    assert report == ValidationReport(feasible=not want, violations=want)
+
+
+def test_validator_memory_stays_near_one_bit_a_pair_on_a_dense_schedule():
+    """s = c = 505, sigma = 5, gamma = 100: 255,025 meetings in 505 tables, one
+    table a dinner.  A set a supplier would take some 8 MiB in all; the masks
+    take under 0.1 MiB."""
+    sigma, m, gamma, groups = 5, 101, 100, 5  # m prime: supplier blocks share at most one supplier
+    dinners = [
+        Dinner.of([TableSeating.of([a * m + (b + h * a) % m + 1 for a in range(sigma)],
+                                   range(h * gamma + 1, (h + 1) * gamma + 1))])
+        for h in range(groups) for b in range(m)
+    ]
+    sched = Schedule.of(Instance(1, sigma * m, gamma * groups, sigma, gamma), dinners)
+    tracemalloc.start()
+    try:
+        report = validate_schedule(sched)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.feasible
+    assert peak < 2 * 2**20
 
 
 @given(sched=broken_schedules(), cap=st.integers(0, 8))
