@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import decimal
-import json
 import os
 import sys
 
@@ -89,19 +88,19 @@ def _exact(n: int) -> str:
 def cmd_bounds(args) -> int:
     inst = _instance(args)
     rep = bounds.compute_bounds(inst)
+    # Every value is printed through _exact, as one can pass str()'s digit
+    # limit: at t = sigma = gamma = 1, lb3 = s*c.
     if args.json:
-        print(json.dumps(vars(rep)))
+        print("{" + ", ".join(f'"{k}": {"null" if v is None else _exact(v)}' for k, v in vars(rep).items()) + "}")
         return EXIT_OK
-    na = "n/a"
-    print(f"instance t={inst.t} s={inst.s} c={inst.c} sigma={inst.sigma} gamma={inst.gamma}")
-    print(f"lb1={rep.lb1} lb2={rep.lb2} lb3={rep.lb3} "
-          f"lb4={rep.lb4 if rep.lb4 is not None else na} lb5={rep.lb5}")
+    v = {k: "n/a" if x is None else _exact(x) for k, x in (vars(inst) | vars(rep)).items()}
+    print(f"instance t={v['t']} s={v['s']} c={v['c']} sigma={v['sigma']} gamma={v['gamma']}")
+    print(f"lb1={v['lb1']} lb2={v['lb2']} lb3={v['lb3']} lb4={v['lb4']} lb5={v['lb5']}")
     if inst.sigma >= 2:
         js = bounds.j_star(max(inst.s, 2), inst.customer_groups)
-        print(f"lb5 attained at j={bounds.lb5_argmax(inst)} (maximizer hint j*={js})")
-    print(f"ub1={rep.ub1} ub1_improved={rep.ub1_improved if rep.ub1_improved is not None else na} "
-          f"ub2={rep.ub2 if rep.ub2 is not None else na} ub_eucli={rep.ub_eucli}")
-    print(f"lb_best={rep.lb_best} ub_best={rep.ub_best}")
+        print(f"lb5 attained at j={_exact(bounds.lb5_argmax(inst))} (maximizer hint j*={_exact(js)})")
+    print(f"ub1={v['ub1']} ub1_improved={v['ub1_improved']} ub2={v['ub2']} ub_eucli={v['ub_eucli']}")
+    print(f"lb_best={v['lb_best']} ub_best={v['ub_best']}")
     return EXIT_OK
 
 

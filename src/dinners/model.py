@@ -9,8 +9,9 @@ most ``sigma`` suppliers and ``gamma`` customers.  All ids are 1-based.
 from __future__ import annotations
 
 import json
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable
 
 # Violation kinds reported by validate_schedule.
@@ -26,11 +27,6 @@ ID_OUT_OF_RANGE = "IdOutOfRange"
 # validate_schedule lists this many PairMissing violations at most and counts
 # the rest; every other kind is listed in full.
 MAX_PAIRS_MISSING_LISTED = 10_000
-
-# validate_schedule keeps the customers a supplier has met in a set while it
-# holds at most c >> SET_LIMIT_SHIFT of them, and in a c-bit mask from then
-# on: a set costs some 300 bits an id, so past that point the mask is smaller.
-SET_LIMIT_SHIFT = 8
 
 
 class ScheduleDecodeError(ValueError):
@@ -157,20 +153,17 @@ def validate_schedule(sched: Schedule) -> ValidationReport:
     Checks: per-dinner table count, per-table caps, one table per person per
     dinner, every supplier-customer pair met exactly once, supplier pairs
     co-seated at most once, and id ranges.  People may skip dinners entirely.
-    A supplier keeps the customers it has met in a set, or in a c-bit mask
-    once that is the smaller, so this bookkeeping grows with the meetings in
-    the schedule but not much past one bit a supplier-customer pair, and not
-    with the largest id.  Suppliers who meet no one hold no state, and
+    A first pass files each table under each of its suppliers; a second
+    takes one supplier at a time and counts its meetings only when the union
+    of its tables is smaller than their sizes added up.  So memory is a
+    reference per supplier seat plus one supplier's meetings, and
     PairMissing is listed only up to its cap.
     """
     inst = sched.instance
     t, s, c, sigma, gamma = inst.t, inst.s, inst.c, inst.sigma, inst.gamma
     violations: list[tuple[str, str]] = []
-    set_limit = c >> SET_LIMIT_SHIFT
-    # met[i]: the in-range customers supplier i has met, as a set or a mask
-    met: defaultdict[int, set[int] | int] = defaultdict(set if set_limit else int)
-    repeats: defaultdict[int, dict[int, int]] = defaultdict(dict)  # repeats[i][k]: meetings, if more than one
-    sup_pair_count: dict[tuple[int, int], int] = {}
+    # seats[i]: the tables supplier i sits at, out-of-range ids included
+    seats: defaultdict[int, list[TableSeating]] = defaultdict(list)
 
     for d, dinner in enumerate(sched.dinners, start=1):
         if len(dinner.tables) > t:
@@ -179,8 +172,7 @@ def validate_schedule(sched: Schedule) -> ValidationReport:
         seen_custs: set[int] = set()
         for x, table in enumerate(dinner.tables, start=1):
             sups, custs = table.suppliers, table.customers
-            n_sups = len(sups)
-            if n_sups > sigma:
+            if len(sups) > sigma:
                 violations.append(
                     (SUPPLIER_CAP_EXCEEDED, f"dinner {d} table {x} seats {len(sups)} suppliers > sigma={sigma}")
                 )
@@ -193,94 +185,62 @@ def validate_schedule(sched: Schedule) -> ValidationReport:
                     violations.append((ID_OUT_OF_RANGE, f"dinner {d} table {x}: supplier {i} not in 1..{s}"))
                 if i in seen_sups:
                     violations.append((PERSON_AT_TWO_TABLES, f"dinner {d}: supplier {i} sits at two tables"))
-            in_range = custs
+            filed: TableSeating | None = table
             for k in custs:
                 if not 1 <= k <= c:
                     violations.append((ID_OUT_OF_RANGE, f"dinner {d} table {x}: customer {k} not in 1..{c}"))
-                    in_range = None
+                    filed = None
                 if k in seen_custs:
                     violations.append((PERSON_AT_TWO_TABLES, f"dinner {d}: customer {k} sits at two tables"))
             seen_sups |= sups
             seen_custs |= custs
-            # Meetings are counted for ids in range only, which are the ones
-            # reported below.
-            if in_range is None:
-                in_range = {k for k in custs if 1 <= k <= c}
-            table_mask = 0
+            # Meetings are counted for customers in range only, which are the
+            # ones reported below; supplier pairs are counted for every id.
+            if filed is None:
+                filed = TableSeating(sups, frozenset(k for k in custs if 1 <= k <= c))
             for i in sups:
-                if 1 <= i <= s:
-                    was = met[i]
-                    if type(was) is set:
-                        if len(was) + len(in_range) <= set_limit:
-                            if not was.isdisjoint(in_range):
-                                counts = repeats[i]
-                                for k in was & in_range:
-                                    counts[k] = counts.get(k, 1) + 1
-                            was |= in_range
-                            continue
-                        was = _mask(was)
-                    if not table_mask:
-                        if len(in_range) < 64:  # a few shifts beat building a digit string
-                            for k in in_range:
-                                table_mask |= 1 << k
-                        else:
-                            table_mask = _mask(in_range)
-                    if was & table_mask:
-                        counts = repeats[i]
-                        for k in in_range:
-                            if was >> k & 1:
-                                counts[k] = counts.get(k, 1) + 1
-                    met[i] = was | table_mask
-            if n_sups > 1:
-                ordered = sorted(sups)
-                for a in range(len(ordered)):
-                    for b in range(a + 1, len(ordered)):
-                        pair = (ordered[a], ordered[b])
-                        sup_pair_count[pair] = sup_pair_count.get(pair, 0) + 1
+                seats[i].append(filed)
 
-    # Pair violations go in (supplier, customer) order.  While PairMissing
-    # may still be listed, suppliers are walked one by one; the first `room`
-    # customers a supplier has not met are all at most room + (customers met).
-    unlisted = s * c - sum(m.bit_count() if type(m) is int else len(m) for m in met.values())
+    # Pair violations go in (supplier, customer) order, supplier pairs after
+    # them in (supplier, supplier) order.  Besides the suppliers who sit
+    # somewhere, the walk takes 1..len(seats) + room: each supplier who sits
+    # nowhere lists at least one PairMissing, so by then there is no room left.
+    sup_pairs: list[tuple[str, str]] = []
+    unlisted = s * c
     room = MAX_PAIRS_MISSING_LISTED
-    i = 1
-    while room and i <= s:
-        was = met.get(i, ())
-        again = repeats.get(i, {})
-        n_met = was.bit_count() if type(was) is int else len(was)
-        top = min(c, room + n_met) if n_met < c else 0  # no scan once all c are met
-        if type(was) is int:
-            unmet = bin(~was & (1 << top + 1) - 2)[:1:-1]  # unmet[k] == "1": customer k is unmet
-            missing = [k for k, bit in enumerate(unmet) if bit == "1"][:room]
-        else:
-            missing = [k for k in range(1, top + 1) if k not in was][:room]
-        room -= len(missing)
-        unlisted -= len(missing)
+    for i in sorted(seats.keys() | range(1, min(s, len(seats) + room) + 1)):
+        tables = seats.get(i, ())
+        shared = [tab.suppliers for tab in tables if len(tab.suppliers) > 1]
+        # i sits at each of these tables, so with no supplier pair repeated
+        # their sizes add up to their union's plus len(shared) - 1.
+        if len(shared) > 1 and sum(map(len, shared)) > len(frozenset().union(*shared)) + len(shared) - 1:
+            for j, n in sorted(Counter(chain.from_iterable(shared)).items()):
+                if n > 1 and j > i:
+                    sup_pairs.append((SUPPLIER_PAIR_REPEATED, f"suppliers {i} and {j} share a table {n} times"))
+        if not 1 <= i <= s:
+            continue
+        custs = [tab.customers for tab in tables]
+        met = frozenset().union(*custs)
+        unlisted -= len(met)
+        again = {}
+        if len(met) < sum(map(len, custs)):
+            again = {k: n for k, n in Counter(chain.from_iterable(custs)).items() if n > 1}
+        missing: list[int] = []
+        if room and len(met) < c:
+            # The first `room` customers i has not met are all at most room + len(met).
+            top = min(c, room + len(met))
+            missing = sorted(set(range(1, top + 1)).difference(met))[:room]
+            room -= len(missing)
+            unlisted -= len(missing)
         for k in sorted([*missing, *again]):
             if k in again:
                 violations.append((PAIR_REPEATED, f"supplier {i} and customer {k} meet {again[k]} times"))
             else:
                 violations.append((PAIR_MISSING, f"supplier {i} and customer {k} never meet"))
-        i += 1
-    # Then only the suppliers with repeated pairs are left to list.
-    for j in sorted(repeats):
-        if j >= i:
-            for k, n in sorted(repeats[j].items()):
-                violations.append((PAIR_REPEATED, f"supplier {j} and customer {k} meet {n} times"))
-    for (i, j), n in sorted(sup_pair_count.items()):
-        if n > 1:
-            violations.append((SUPPLIER_PAIR_REPEATED, f"suppliers {i} and {j} share a table {n} times"))
+    violations += sup_pairs
 
     return ValidationReport(feasible=not violations and not unlisted, violations=tuple(violations),
                             unlisted_missing=unlisted)
-
-
-def _mask(ids: set[int] | frozenset[int]) -> int:
-    """The int with bit k set for each k in ids, in time linear in max(ids)."""
-    digits = bytearray(b"0") * (max(ids, default=0) + 1)
-    for k in ids:
-        digits[k] = 49  # ord("1")
-    return int(digits[::-1], 2)
 
 
 def encode_schedule(sched: Schedule) -> str:

@@ -304,3 +304,15 @@ def test_bounds_human_reports_the_lb5_argmax_at_huge_sigma(capsys):
     code, out, _ = run(capsys, "bounds", "1", "1000000", "1000000", "1000000", "3")
     assert code == 0
     assert "lb5 attained at j=4 (maximizer hint j*=4)" in out
+
+
+def test_bounds_prints_values_past_the_int_digit_limit(capsys):
+    # s = c = 10^3000, so lb3 = s*c has 6,001 digits, more than str(int) converts by default.
+    big = "1" + "0" * 3000
+    lb3 = "1" + "0" * 6000
+    code, out, _ = run(capsys, "bounds", "1", big, big, "1", "1")
+    assert code == 0
+    assert f" lb3={lb3} " in out
+    code, out, _ = run(capsys, "bounds", "1", big, big, "1", "1", "--json")
+    assert code == 0
+    assert json.loads(out, parse_int=str)["lb3"] == lb3

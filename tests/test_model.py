@@ -346,22 +346,13 @@ def test_validator_memory_follows_the_schedule_not_the_largest_id(times):
     assert elapsed < 2.0
 
 
-@given(sched=broken_schedules(), shift=st.integers(0, 3))
-def test_validator_matches_the_dict_reference_as_sets_turn_into_masks(sched, shift):
-    """At shift 0 a supplier keeps its customers in a set unless it meets one
-    twice; at larger shifts the set turns into a mask part way through."""
-    want = dict_validator(sched)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(model, "SET_LIMIT_SHIFT", shift)
-        report = validate_schedule(sched)
-    assert report == ValidationReport(feasible=not want, violations=want)
-
-
-def test_validator_memory_stays_near_one_bit_a_pair_on_a_dense_schedule():
+@pytest.mark.parametrize("sigma, m, gamma, groups", [(5, 101, 100, 5), (31, 31, 31, 31)])
+def test_validator_memory_stays_near_one_bit_a_pair_on_a_dense_schedule(sigma, m, gamma, groups):
     """s = c = 505, sigma = 5, gamma = 100: 255,025 meetings in 505 tables, one
-    table a dinner.  A set a supplier would take some 8 MiB in all; the masks
-    take under 0.1 MiB."""
-    sigma, m, gamma, groups = 5, 101, 100, 5  # m prime: supplier blocks share at most one supplier
+    table a dinner; or s = c = 961, sigma = gamma = 31: 923,521 meetings in 961
+    tables.  Every supplier's meetings held at once would take megabytes
+    (some 8 MiB for the first); one supplier's at a time take a few kB.  m is
+    prime, so supplier blocks share at most one supplier."""
     dinners = [
         Dinner.of([TableSeating.of([a * m + (b + h * a) % m + 1 for a in range(sigma)],
                                    range(h * gamma + 1, (h + 1) * gamma + 1))])
@@ -376,6 +367,24 @@ def test_validator_memory_stays_near_one_bit_a_pair_on_a_dense_schedule():
         tracemalloc.stop()
     assert report.feasible
     assert peak < 2 * 2**20
+
+
+def test_validator_memory_does_not_grow_with_a_tables_supplier_pairs():
+    """One table of 2,000 suppliers seats 1,999,000 supplier pairs, but a
+    table cannot repeat its own pairs, so none of them is counted."""
+    s = 2000
+    sched = Schedule.of(Instance(1, s, 1, s, 1), [Dinner.of([TableSeating.of(range(1, s + 1), [1])])])
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        report = validate_schedule(sched)
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.feasible
+    assert peak < 2 * 2**20
+    assert elapsed < 0.5
 
 
 @given(sched=broken_schedules(), cap=st.integers(0, 8))
