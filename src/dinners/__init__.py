@@ -46,7 +46,6 @@ from .howell import (
     validate_howell,
 )
 from .model import (
-    CustomerGrouping,
     Dinner,
     Instance,
     Schedule,
@@ -74,7 +73,6 @@ from .transforms import (
 __all__ = [
     "BoundsReport",
     "ConstructionError",
-    "CustomerGrouping",
     "Dinner",
     "GammaGrouping",
     "HowellDesign",

@@ -11,6 +11,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .howell import NONEXISTENT_EXCEPTIONS
 from .model import Instance
 
 
@@ -148,30 +149,29 @@ def optimum_floor(inst: Instance) -> int:
     return max(lb_best(inst), 3 if exception else 0)
 
 
+def sigma2_symbols(cg: int, s: int) -> int:
+    """Symbol count 2n of the Howell array behind the two-supplier base.
+
+    An odd s is padded with one fictitious supplier; a square shape cg == s
+    with even s is padded with two, since H(s, s) does not exist.
+    """
+    if s % 2:
+        return s + 1
+    return s + 2 if cg == s else s
+
+
 def sigma2_base_tables(cg: int, s: int) -> int:
     """Tables actually used per dinner by the two-supplier base construction.
 
-    For most shapes this is min(cg, ceil(s/2)); the listed special pairs need
-    wider seatings (their optimal schedules use single-supplier tables), and
-    a square shape cg == s with even s needs one extra table because the
-    supplier set is padded by two.
+    The base takes the first cg columns of an H(max(cg, n), 2n) with
+    2n = sigma2_symbols(cg, s), so its widest dinner seats min(cg, n)
+    tables.  Where that design does not exist (howell.NONEXISTENT_EXCEPTIONS)
+    an embedded template stands in, and its widest dinner seats all cg groups.
     """
     if cg > s:
         raise ValueError("base layer requires cg <= s")
-    if cg == 1:
-        return 1
-    if (cg, s) in SIGMA2_THREE_DINNER_PAIRS or (cg, s) == (2, 2):
-        return 2
-    if (cg, s) in ((3, 3), (3, 4)):
-        return 3
-    if (cg, s) in ((5, 5), (5, 6), (5, 7), (5, 8)):
-        return 5
-    half = ceil_div(s, 2)
-    if cg < half:
-        return cg
-    if cg == s and s % 2 == 0:
-        return s // 2 + 1
-    return half
+    n2 = sigma2_symbols(cg, s)
+    return cg if (cg, n2) in NONEXISTENT_EXCEPTIONS else min(cg, n2 // 2)
 
 
 def sigma2_base_dinners(cg: int, s: int) -> int:

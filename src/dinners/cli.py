@@ -255,7 +255,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=_positive(int), default=DEFAULT_SOLVE_NODE_BUDGET,
                    help="search node budget per deepening level")
     p.add_argument("--timeout", type=_positive(float), default=None, help="time budget in seconds")
-    p.add_argument("--max-dinners", type=int, default=None, help="largest dinner count to try")
+    p.add_argument("--max-dinners", type=_positive(int), default=None,
+                   help="largest dinner count to try")
     p.add_argument("--out", help="write the witness schedule to this file ('-' for stdout)")
     p.set_defaults(func=cmd_solve)
 

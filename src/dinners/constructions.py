@@ -22,7 +22,7 @@ from importlib import resources
 
 from . import bounds
 from .coloring import equitable_bipartite_coloring
-from .howell import DEFAULT_NODE_BUDGET, generate_howell
+from .howell import DEFAULT_NODE_BUDGET, NONEXISTENT_EXCEPTIONS, generate_howell
 from .model import Dinner, Instance, Schedule, TableSeating, decode_schedule, group_customers
 
 
@@ -112,10 +112,10 @@ def build_sigma1(inst: Instance) -> Schedule:
     """Optimal schedule for sigma = 1: max(s, cg, ceil(s*cg/t)) dinners."""
     if inst.sigma != 1:
         raise ConstructionError("build_sigma1 needs sigma == 1")
-    grouping = group_customers(inst.c, inst.gamma)
     cg = inst.customer_groups
     k = max(inst.s, cg, bounds.ceil_div(inst.s * cg, inst.t))
-    dinners = singleton_dinners(list(range(1, inst.s + 1)), list(grouping.groups), inst.t, k)
+    groups = list(group_customers(inst.c, inst.gamma))
+    dinners = singleton_dinners(list(range(1, inst.s + 1)), groups, inst.t, k)
     return Schedule.of(inst, dinners)
 
 
@@ -125,36 +125,23 @@ def _strip_rows(rows, s: int, cols: int) -> list[list[frozenset[int]]]:
     return [[frozenset(x for x in cell or () if x <= s) for cell in row[:cols]] for row in rows]
 
 
-_EXCEPTION_TEMPLATE_KEYS = {(2, 4): "S4C2", (3, 4): "S4C3", (5, 6): "S6C5", (5, 8): "S8C5"}
-
-
 def _howell_rows(cg: int, s: int, node_budget: int | None) -> list[list[frozenset[int]]]:
     """Supplier pairs per (dinner, customer group) seating cg groups with
     suppliers 1..s in max(cg, ceil(s/2)) dinners (3 for the two exceptional
     shapes with cg = 2).  Needs cg <= s and (cg, s) != (2, 2).
 
-    An odd supplier count is padded with a fictitious largest supplier; a
-    square shape cg == s with even s is padded with two; the padding is
-    stripped from the cells.
+    The suppliers are padded to 2n = bounds.sigma2_symbols(cg, s) and the
+    rows are the first cg columns of an H(max(cg, n), 2n), or of the embedded
+    template where that design does not exist; the padding is stripped from
+    the cells.
     """
     if cg == 1:
         # One group: seat it with supplier pairs, ceil(s/2) dinners.
         return [[frozenset(range(lo, min(lo + 2, s + 1)))] for lo in range(1, s + 1, 2)]
-    if cg < bounds.ceil_div(s, 2):
-        # Fewer groups than half the suppliers: complete array, first cg columns.
-        n2 = s + s % 2
-        design = generate_howell(n2 // 2, n2, node_budget)
-    else:
-        if s % 2:
-            n2 = s + 1
-        elif cg < s:
-            n2 = s
-        else:  # cg == s, even s >= 4: pad by two suppliers
-            n2 = s + 2
-        key = _EXCEPTION_TEMPLATE_KEYS.get((cg, n2))
-        if key is not None:
-            return _strip_rows(exceptional_schedule(key).rows, s, cg)
-        design = generate_howell(cg, n2, node_budget)
+    n2 = bounds.sigma2_symbols(cg, s)
+    if (cg, n2) in NONEXISTENT_EXCEPTIONS:
+        return _strip_rows(exceptional_schedule(f"S{n2}C{cg}").rows, s, cg)
+    design = generate_howell(max(cg, n2 // 2), n2, node_budget)
     assert design is not None
     return _strip_rows(design.cells, s, cg)
 
@@ -165,9 +152,9 @@ def build_howell_schedule(
     """Two-suppliers-per-table layer: max(cg, ceil(s/2)) dinners (3 for the
     two exceptional shapes with cg = 2).
 
-    Requires sigma == 2, s*gamma > c, and enough tables for the underlying
-    array: min(cg, ceil(s/2)) in the regular shapes, more for the exceptional
-    ones (see bounds.sigma2_base_tables).
+    Requires sigma == 2, s*gamma > c, and bounds.sigma2_base_tables(cg, s)
+    tables: the width of the padded Howell array, or of the template that
+    stands in for a missing design.
     """
     if inst.sigma != 2:
         raise ConstructionError("build_howell_schedule needs sigma == 2")
@@ -179,7 +166,7 @@ def build_howell_schedule(
         raise ConstructionError(
             f"shape (cg={cg}, s={s}) needs at least {need_t} tables, instance has {inst.t}"
         )
-    groups = group_customers(inst.c, inst.gamma).groups
+    groups = group_customers(inst.c, inst.gamma)
     if (cg, s) == (2, 2):
         # No 2-dinner pairing exists; single-supplier tables reach 2 dinners.
         return Schedule.of(inst, singleton_dinners([1, 2], list(groups), inst.t, 2))
@@ -192,7 +179,7 @@ def _cas_par_paper_route(inst: Instance, node_budget: int | None) -> Schedule:
     """Half-table regime via a Howell phase seating the first s-1 (even s) or
     s (odd s) groups, plus a single-supplier phase for the rest."""
     s, t = inst.s, inst.t
-    groups = list(group_customers(inst.c, inst.gamma).groups)
+    groups = list(group_customers(inst.c, inst.gamma))
     lead = s - 1 + s % 2
     dinners = _grid_dinners(_howell_rows(lead, s, node_budget), groups)
     rest = groups[lead:]
@@ -228,7 +215,7 @@ def _cas_par_s3(inst: Instance) -> Schedule:
     are hs0 and hs1, so each set merges into one complete left vertex:
     K_{q,3}, colored in ceil(3q/2) classes of at most 2 = t tables.
     """
-    groups = list(group_customers(inst.c, inst.gamma).groups)
+    groups = list(group_customers(inst.c, inst.gamma))
     g, hs = groups[:3], groups[3:]
     dinners = [
         Dinner.of([TableSeating(frozenset({1, 2}), g[0]), TableSeating(frozenset({3}), hs[0])]),
@@ -253,7 +240,7 @@ def _cas_par_s4(inst: Instance) -> Schedule:
     dinners, each beside a supplier that table does not seat: 2q-3 dinners
     of leftovers.  q = 3 has no complete group and takes three fixed dinners.
     """
-    groups = list(group_customers(inst.c, inst.gamma).groups)
+    groups = list(group_customers(inst.c, inst.gamma))
     g, hs = groups[:3], groups[3:]
     pair_plan = [
         ({1, 2}, 0, 0, 3),

@@ -106,13 +106,6 @@ class Schedule:
 
 
 @dataclass(frozen=True)
-class CustomerGrouping:
-    """A partition of customers 1..c into blocks of size <= gamma."""
-
-    groups: tuple[frozenset[int], ...]
-
-
-@dataclass(frozen=True)
 class ValidationReport:
     """Every violation found, and how many ``PairMissing`` ones are not listed.
 
@@ -133,7 +126,7 @@ class ValidationReport:
         return {kind for kind, _ in self.violations}
 
 
-def group_customers(c: int, gamma: int) -> CustomerGrouping:
+def group_customers(c: int, gamma: int) -> tuple[frozenset[int], ...]:
     """Split customers 1..c into ceil(c/gamma) contiguous blocks of size <= gamma.
 
     Group k (1-based) holds customers (k-1)*gamma+1 .. min(k*gamma, c); the
@@ -144,7 +137,7 @@ def group_customers(c: int, gamma: int) -> CustomerGrouping:
     groups = []
     for lo in range(1, c + 1, gamma):
         groups.append(frozenset(range(lo, min(lo + gamma, c + 1))))
-    return CustomerGrouping(tuple(groups))
+    return tuple(groups)
 
 
 def validate_schedule(sched: Schedule) -> ValidationReport:

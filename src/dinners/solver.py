@@ -135,15 +135,12 @@ class _Level:
             return True
         inst = self.inst
         t, sigma, gamma = inst.t, inst.sigma, inst.gamma
-        unmet = self.unmet
-        if unmet > dinners_left * t * sigma * gamma:
-            return False
         # Tables beyond one supplier consume never-reusable supplier pairs: a
         # table with e extra suppliers burns e*(e+1)/2 >= e pairs, so the
         # extra meeting capacity is capped by the free-pair count.
         slots = dinners_left * t
         extra = min((sigma - 1) * slots, self.pairs_free)
-        if unmet > gamma * (slots + extra):
+        if self.unmet > gamma * (slots + extra):
             return False
         cust_seats = 0
         for deficit in self.cust_deficit:
@@ -198,8 +195,6 @@ class _Level:
         raise _Found
 
     def run(self) -> Schedule | None:
-        if self.unmet == 0:  # cannot happen for valid instances (s, c >= 1)
-            return Schedule.of(self.inst, [])
         if self._capacity_ok(self.d_max) and run_frames(self._frame(0, 0, 0, 0, 0, 0)):
             return self.witness
         return None
@@ -354,7 +349,6 @@ def solve_exact(
     keys = _Keys(inst)
     nodes = 0
     cut = False
-    clean_prefix = True
     proven_lb = start
     for d_max in range(start, cap + 1):
         level = _Level(inst, keys, d_max, prune, limits.node_budget, deadline)
@@ -363,7 +357,6 @@ def solve_exact(
         except SearchBudgetExceeded:
             nodes += level.nodes
             cut = True
-            clean_prefix = False
             if deadline is not None and time.monotonic() > deadline:
                 break
             continue
@@ -371,7 +364,7 @@ def solve_exact(
         if witness is not None:
             status = OPTIMAL if not cut else FEASIBLE_ONLY
             return SolveResult(status, witness.dinner_count(), witness, nodes, proven_lb)
-        if clean_prefix:
+        if not cut:
             proven_lb = d_max + 1
     if cut:
         return SolveResult(BUDGET_EXHAUSTED, None, None, nodes, proven_lb)

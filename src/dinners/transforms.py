@@ -28,7 +28,6 @@ from .constructions import (
 )
 from .howell import DEFAULT_NODE_BUDGET, SearchBudgetExceeded
 from .model import (
-    CustomerGrouping,
     Dinner,
     Instance,
     Schedule,
@@ -76,7 +75,7 @@ class GammaGrouping:
 
     original: Instance
     derived: Instance
-    grouping: CustomerGrouping
+    grouping: tuple[frozenset[int], ...]
 
     def expand(self, sched: Schedule) -> Schedule:
         if sched.instance != self.derived:
@@ -87,7 +86,7 @@ class GammaGrouping:
             for table in dinner.tables:
                 members: set[int] = set()
                 for j in table.customers:
-                    members.update(self.grouping.groups[j - 1])
+                    members.update(self.grouping[j - 1])
                 tables.append(TableSeating(table.suppliers, frozenset(members)))
             dinners.append(Dinner.of(tables))
         return Schedule.of(self.original, dinners)
@@ -136,8 +135,7 @@ def _parallel_matching_base(inst: Instance) -> Schedule:
     single table, giving each group its own pair matching in separate dinners
     costs 2*ceil(s/2) dinners, which is what ub1 promises there.
     """
-    grouping = group_customers(inst.c, inst.gamma)
-    g1, g2 = grouping.groups
+    g1, g2 = group_customers(inst.c, inst.gamma)
     if inst.s == 4:
         visits = [({1, 2}, g1), ({3, 4}, g1), ({1, 3}, g2), ({2, 4}, g2)]
     else:
@@ -187,8 +185,7 @@ def build_ub2(inst: Instance) -> Schedule:
     t_blocks = bounds.ceil_div(inst.s, sigma)
     if t_blocks > cg:
         raise ConstructionError("build_ub2 needs ceil(s/sigma) <= ceil(c/gamma)")
-    grouping = group_customers(inst.c, inst.gamma)
-    groups = list(grouping.groups)
+    groups = list(group_customers(inst.c, inst.gamma))
     dinners = []
 
     def block_member(block: int, member: int) -> int:

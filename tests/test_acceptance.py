@@ -110,7 +110,7 @@ def test_criterion_04_two_group_four_supplier_exception():
         inst,
         [
             Dinner.of(
-                TableSeating(cell, grouping.groups[j])
+                TableSeating(cell, grouping[j])
                 for j, cell in enumerate(row)
                 if cell
             )

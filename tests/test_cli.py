@@ -294,7 +294,8 @@ def test_solve_budget_defaults_to_two_million_nodes():
 
 def test_solve_rejects_non_positive_budgets(capsys):
     for flag, value in [("--budget", "0"), ("--budget", "-5"), ("--timeout", "0"),
-                        ("--timeout", "-1.5"), ("--timeout", "nan")]:
+                        ("--timeout", "-1.5"), ("--timeout", "nan"),
+                        ("--max-dinners", "0"), ("--max-dinners", "-5")]:
         code, _, err = run(capsys, "solve", "1", "2", "2", "1", "1", flag, value)
         assert code == 2, (flag, value)
         assert "must be positive" in err

@@ -132,6 +132,8 @@ def test_howell_schedule_sweep():
                     sched = build_howell_schedule(inst)
                     assert feasible(sched), inst
                     assert sched.dinner_count() == sigma2_base_dinners(cg, s), inst
+                    widest = max(len(dinner.tables) for dinner in sched.dinners)
+                    assert widest == sigma2_base_tables(cg, s), inst
                     checked += 1
     assert checked > 150
 

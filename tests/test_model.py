@@ -45,17 +45,17 @@ def test_instance_rejects_nonpositive_fields():
 
 
 def test_group_customers_examples():
-    assert [set(g) for g in group_customers(6, 3).groups] == [{1, 2, 3}, {4, 5, 6}]
-    assert [set(g) for g in group_customers(5, 2).groups] == [{1, 2}, {3, 4}, {5}]
-    assert [set(g) for g in group_customers(4, 4).groups] == [{1, 2, 3, 4}]
+    assert [set(g) for g in group_customers(6, 3)] == [{1, 2, 3}, {4, 5, 6}]
+    assert [set(g) for g in group_customers(5, 2)] == [{1, 2}, {3, 4}, {5}]
+    assert [set(g) for g in group_customers(4, 4)] == [{1, 2, 3, 4}]
 
 
 def test_group_customers_partition_property():
     for c, gamma in [(1, 1), (7, 3), (100, 7), (10000, 11), (9999, 1000), (5, 9)]:
         grouping = group_customers(c, gamma)
-        assert len(grouping.groups) == -(-c // gamma)
+        assert len(grouping) == -(-c // gamma)
         seen = set()
-        for g in grouping.groups:
+        for g in grouping:
             assert 1 <= len(g) <= gamma
             assert not (seen & g)
             seen |= g

@@ -80,7 +80,7 @@ def test_group_gamma_full_grouping():
     inst = Instance(2, 5, 6, 2, 3)
     gg = group_gamma(inst, 3)
     assert gg.derived == Instance(2, 5, 2, 2, 1)
-    assert [sorted(g) for g in gg.grouping.groups] == [[1, 2, 3], [4, 5, 6]]
+    assert [sorted(g) for g in gg.grouping] == [[1, 2, 3], [4, 5, 6]]
 
 
 def test_group_gamma_expansion_feasible():
