@@ -182,20 +182,16 @@ def sigma2_base_dinners(cg: int, s: int) -> int:
 
 
 def ub1(inst: Instance) -> int:
-    """Universal upper bound built from the two-supplier base plus splitting.
+    """Universal upper bound built from the two-supplier base plus splitting:
+    ceil(2/sigma) * ceil(min(cg, s)/t) * sigma2_base_dinners(cg, s).
 
-    ceil(2/sigma) * ceil(min(cg, s)/t) * max(cg, ceil(s/2)), corrected for
-    the two shapes where the base needs 3 dinners (the plain formula would
-    undercut the true optimum there).
+    On one table the two three-dinner shapes take 4 dinners, not 2 * 3: each
+    customer group gets its own pair matching.
     """
-    cg = inst.customer_groups
-    if (cg, inst.s) in SIGMA2_THREE_DINNER_PAIRS:
-        return ceil_div(2, inst.sigma) * (4 if inst.t == 1 else 3)
-    return (
-        ceil_div(2, inst.sigma)
-        * ceil_div(min(cg, inst.s), inst.t)
-        * max(cg, ceil_div(inst.s, 2))
-    )
+    cg, s, t = inst.customer_groups, inst.s, inst.t
+    if t == 1 and (cg, s) in SIGMA2_THREE_DINNER_PAIRS:
+        return ceil_div(2, inst.sigma) * 4
+    return ceil_div(2, inst.sigma) * ceil_div(min(cg, s), t) * sigma2_base_dinners(cg, s)
 
 
 def ub1_improved(inst: Instance) -> int | None:
@@ -211,13 +207,10 @@ def ub1_improved(inst: Instance) -> int | None:
         return None
     if (cg, s) in SIGMA2_THREE_DINNER_PAIRS:
         return None
-    if sigma2_base_tables(cg, s) != min(cg, ceil_div(s, 2)):
+    tables = sigma2_base_tables(cg, s)
+    if tables != min(cg, ceil_div(s, 2)):
         return None
-    return (
-        ceil_div(2, inst.sigma)
-        * ceil_div(min(cg, ceil_div(s, 2)), inst.t)
-        * max(cg, ceil_div(s, 2))
-    )
+    return ceil_div(2, inst.sigma) * ceil_div(tables, inst.t) * sigma2_base_dinners(cg, s)
 
 
 def ub2(inst: Instance) -> int | None:

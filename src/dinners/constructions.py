@@ -85,15 +85,15 @@ def build_trivial(inst: Instance) -> Schedule:
 
 
 def singleton_dinners(
-    supplier_ids: list[int], grouping_slice: list[frozenset[int]], tables: int, k: int
+    s: int, grouping_slice: Sequence[frozenset[int]], tables: int, k: int
 ) -> list[Dinner]:
     """Dinners where every table holds one supplier and one customer group.
 
-    Colors the complete bipartite meeting graph between the given suppliers
-    and groups with k classes; equitability keeps every class within the
+    Colors the complete bipartite meeting graph between suppliers 1..s and
+    the groups with k classes; equitability keeps every class within the
     table count.
     """
-    classes = equitable_bipartite_coloring(len(supplier_ids), len(grouping_slice), k)
+    classes = equitable_bipartite_coloring(s, len(grouping_slice), k)
     assert max(len(cls) for cls in classes) <= tables
     dinners = []
     for cls in classes:
@@ -101,7 +101,7 @@ def singleton_dinners(
             continue
         dinners.append(
             Dinner.of(
-                TableSeating(frozenset({supplier_ids[i - 1]}), grouping_slice[j - 1])
+                TableSeating(frozenset({i}), grouping_slice[j - 1])
                 for i, j in cls
             )
         )
@@ -114,8 +114,8 @@ def build_sigma1(inst: Instance) -> Schedule:
         raise ConstructionError("build_sigma1 needs sigma == 1")
     cg = inst.customer_groups
     k = max(inst.s, cg, bounds.ceil_div(inst.s * cg, inst.t))
-    groups = list(group_customers(inst.c, inst.gamma))
-    dinners = singleton_dinners(list(range(1, inst.s + 1)), groups, inst.t, k)
+    groups = group_customers(inst.c, inst.gamma)
+    dinners = singleton_dinners(inst.s, groups, inst.t, k)
     return Schedule.of(inst, dinners)
 
 
@@ -169,7 +169,7 @@ def build_howell_schedule(
     groups = group_customers(inst.c, inst.gamma)
     if (cg, s) == (2, 2):
         # No 2-dinner pairing exists; single-supplier tables reach 2 dinners.
-        return Schedule.of(inst, singleton_dinners([1, 2], list(groups), inst.t, 2))
+        return Schedule.of(inst, singleton_dinners(2, groups, inst.t, 2))
     sched = Schedule.of(inst, _grid_dinners(_howell_rows(cg, s, node_budget), groups))
     assert sched.dinner_count() == bounds.sigma2_base_dinners(cg, s)
     return sched
@@ -184,7 +184,7 @@ def _cas_par_paper_route(inst: Instance, node_budget: int | None) -> Schedule:
     dinners = _grid_dinners(_howell_rows(lead, s, node_budget), groups)
     rest = groups[lead:]
     k2 = max(s, len(rest), bounds.ceil_div(s * len(rest), t))
-    dinners.extend(singleton_dinners(list(range(1, s + 1)), rest, t, k2))
+    dinners.extend(singleton_dinners(s, rest, t, k2))
     return Schedule.of(inst, dinners)
 
 

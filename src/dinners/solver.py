@@ -8,10 +8,10 @@ optimum because every smaller count was exhausted first.
 Symmetry reduction: tables of a dinner are listed in strictly increasing
 canonical key order; the very first table is a prefix block {1..a} x {1..b}
 (any schedule can be relabeled that way); from the third dinner on, the first
-table keys must be non-decreasing (dinners are interchangeable, so they can
-be assumed sorted).  Tables always carry at least one supplier and one
-customer, and only pairs that have never met may share a table, both of which
-hold in some optimal schedule.
+table keys rise strictly (dinners are interchangeable, so they can be assumed
+sorted, and two equal first tables would repeat their meetings).  Tables
+always carry at least one supplier and one customer, and only pairs that have
+never met may share a table, both of which hold in some optimal schedule.
 
 Ranked candidates: a table's canonical key (its supplier tuple, then its
 customer tuple, in lex order) is encoded once per solve_exact call as an
@@ -58,9 +58,15 @@ class SolveLimits:
     time_budget: float | None = None
 
     def __post_init__(self):
-        n = self.node_budget
+        n, d, tb = self.node_budget, self.max_dinners, self.time_budget
         if not isinstance(n, int) or isinstance(n, bool) or n < 1:
             raise ValueError(f"node_budget must be a positive integer, got {n!r}")
+        if d is not None and (not isinstance(d, int) or isinstance(d, bool) or d < 0):
+            raise ValueError(f"max_dinners must be None or an integer >= 0, got {d!r}")
+        # not tb > 0 also refuses nan, a deadline the clock never passes; inf is allowed.
+        if tb is not None and (not isinstance(tb, (int, float)) or isinstance(tb, bool)
+                               or not tb > 0):
+            raise ValueError(f"time_budget must be None or a number > 0, got {tb!r}")
 
 
 @dataclass(frozen=True)
@@ -130,7 +136,17 @@ class _Level:
         self.placed: list[tuple[int, tuple[int, ...], tuple[int, ...]]] = []
         self.witness: Schedule | None = None
 
-    def _capacity_ok(self, dinners_left: int) -> bool:
+    def _room_left(self, full_left: int, tables_left: int = 0,
+                   used_s: int = 0, used_c: int = 0) -> bool:
+        """Can the unmet pairs fit in tables_left more tables of the open
+        dinner (used_s, used_c: whom it seats) and full_left dinners after it?
+
+        The seat sums run only at a dinner boundary, tables_left == 0, the
+        last placement of a full dinner included.  There they refuse what the
+        next dinner's own test would (so _frame does not repeat it); run
+        mid-dinner they would cut subtrees the search visits and change its
+        node counts.
+        """
         if not self.prune:
             return True
         inst = self.inst
@@ -138,49 +154,28 @@ class _Level:
         # Tables beyond one supplier consume never-reusable supplier pairs: a
         # table with e extra suppliers burns e*(e+1)/2 >= e pairs, so the
         # extra meeting capacity is capped by the free-pair count.
-        slots = dinners_left * t
-        extra = min((sigma - 1) * slots, self.pairs_free)
-        if self.unmet > gamma * (slots + extra):
-            return False
-        cust_seats = 0
-        for deficit in self.cust_deficit:
-            if deficit > dinners_left * sigma:
-                return False
-            cust_seats += -(-deficit // sigma)
-        if cust_seats > slots * gamma:
-            return False
-        sup_seats = 0
-        for deficit in self.sup_deficit:
-            if deficit > dinners_left * gamma:
-                return False
-            sup_seats += -(-deficit // gamma)
-        return sup_seats <= slots * sigma
-
-    def _mid_dinner_ok(self, full_dinners_left: int, tables_left: int,
-                       used_s: int, used_c: int) -> bool:
-        """Capacity checks refreshed after each table placement."""
-        inst = self.inst
-        t, sigma, gamma = inst.t, inst.sigma, inst.gamma
-        slots = tables_left + full_dinners_left * t
+        slots = tables_left + full_left * t
         extra = min((sigma - 1) * slots, self.pairs_free)
         if self.unmet > gamma * (slots + extra):
             return False
         # A customer seated this dinner waits for later dinners; one still
         # free may take a table left in this one, and those needing it are
-        # urgent.  Likewise for suppliers.
+        # urgent.  At a boundary no table is left, so none may be urgent, and
+        # every customer must still find ceil(deficit/sigma) tables in the
+        # slots.  Likewise for suppliers.
         for deficits, used, cap, other in ((self.cust_deficit, used_c, sigma, gamma),
                                            (self.sup_deficit, used_s, gamma, sigma)):
-            cap_later = full_dinners_left * cap
-            if max(deficits) <= cap_later:
+            cap_later = full_left * cap
+            if tables_left and max(deficits) <= cap_later:
                 continue
-            cap_all = cap_later + cap if tables_left else cap_later
-            urgent = 0
+            urgent = seats = 0
             for k, deficit in enumerate(deficits):
                 if deficit > cap_later:
-                    if used >> k & 1 or deficit > cap_all:
+                    if used >> k & 1 or deficit > cap_later + cap:
                         return False
                     urgent += 1
-            if urgent > tables_left * other:
+                seats += -(-deficit // cap)
+            if urgent > tables_left * other or (not tables_left and seats > slots * other):
                 return False
         return True
 
@@ -195,7 +190,7 @@ class _Level:
         raise _Found
 
     def run(self) -> Schedule | None:
-        if self._capacity_ok(self.d_max) and run_frames(self._frame(0, 0, 0, 0, 0, 0)):
+        if self._room_left(self.d_max) and run_frames(self._frame(0, 0, 0, 0, 0, 0)):
             return self.witness
         return None
 
@@ -212,13 +207,13 @@ class _Level:
         if n:
             if not self.unmet:
                 self._succeed()
-            if d + 1 < d_max and self._capacity_ok(d_max - d - 1):
+            # A full dinner's last placement has run this test on this state.
+            if d + 1 < d_max and (n == inst.t or self._room_left(d_max - d - 1)):
                 # From the third dinner on, first tables rise strictly (equal
                 # keys would repeat meetings), so dinners come sorted.
                 yield self._frame(d + 1, 0, first if d else 0, 0, 0, 0)
             if n >= inst.t:
                 return
-        prune = self.prune
         full_left = d_max - d - 1
         tables_left = inst.t - n - 1
         met, sup_def, cust_def, placed = self.met, self.sup_deficit, self.cust_deficit, self.placed
@@ -245,8 +240,7 @@ class _Level:
             self.pairs_free = pairs_free - nsup * (nsup - 1) // 2
             self.pairs = pairs | tbits
             placed.append((d, sups, custs))
-            if not prune or self._mid_dinner_ok(full_left, tables_left,
-                                                used_s | smask, used_c | cmask):
+            if self._room_left(full_left, tables_left, used_s | smask, used_c | cmask):
                 yield self._frame(d, n + 1, key, first or key, used_s | smask, used_c | cmask)
             for i in sups:
                 met[i] ^= cmask

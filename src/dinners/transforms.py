@@ -19,6 +19,8 @@ from dataclasses import dataclass
 from . import bounds
 from .constructions import (
     ConstructionError,
+    _grid_dinners,
+    _strip_rows,
     build_cas_par,
     build_howell_schedule,
     build_prime,
@@ -55,6 +57,8 @@ def split_sigma(sched: Schedule, sigma1: int) -> Schedule:
     if sigma1 < 1:
         raise ValueError("sigma1 must be positive")
     copies = bounds.ceil_div(sched.instance.sigma, sigma1)
+    if copies == 1:  # every table fits the new cap as it is
+        return Schedule.of(dataclasses.replace(sched.instance, sigma=sigma1), sched.dinners)
     dinners = []
     for dinner in sched.dinners:
         for g in range(copies):
@@ -128,20 +132,11 @@ def concat_suppliers(first: Schedule, second: Schedule) -> Schedule:
     return Schedule.of(dataclasses.replace(a, s=a.s + b.s), dinners)
 
 
-def _parallel_matching_base(inst: Instance) -> Schedule:
-    """One pair table per dinner for the two exceptional shapes at t = 1.
-
-    With cg = 2 and s in {3, 4} the 3-dinner template needs two tables; on a
-    single table, giving each group its own pair matching in separate dinners
-    costs 2*ceil(s/2) dinners, which is what ub1 promises there.
-    """
-    g1, g2 = group_customers(inst.c, inst.gamma)
-    if inst.s == 4:
-        visits = [({1, 2}, g1), ({3, 4}, g1), ({1, 3}, g2), ({2, 4}, g2)]
-    else:
-        visits = [({1, 2}, g1), ({3}, g1), ({1, 3}, g2), ({2}, g2)]
-    dinners = [Dinner.of([TableSeating(frozenset(sups), grp)]) for sups, grp in visits]
-    return Schedule.of(inst, dinners)
+# One pair table per dinner for the two three-dinner shapes at t = 1, as
+# (group 1, group 2) rows: with cg = 2 and s in {3, 4} the 3-dinner base needs
+# two tables, but giving each group its own pair matching in separate dinners
+# costs 2*ceil(s/2) = 4, which is what ub1 promises there.
+_PAIR_MATCHINGS = ([{1, 2}, ()], [{3, 4}, ()], [(), {1, 3}], [(), {2, 4}])
 
 
 def build_ub1(inst: Instance, node_budget: int | None = DEFAULT_NODE_BUDGET) -> Schedule:
@@ -153,23 +148,18 @@ def build_ub1(inst: Instance, node_budget: int | None = DEFAULT_NODE_BUDGET) -> 
     """
     cg = inst.customer_groups
     t2 = min(cg, inst.s)
-    if inst.s * inst.gamma > inst.c:
-        if (cg, inst.s) in bounds.SIGMA2_THREE_DINNER_PAIRS and inst.t == 1:
-            base = _parallel_matching_base(Instance(1, inst.s, inst.c, 2, inst.gamma))
-        else:
-            try:
-                base = build_howell_schedule(
-                    Instance(t2, inst.s, inst.c, 2, inst.gamma), node_budget
-                )
-            except SearchBudgetExceeded:
-                base = build_sigma1(Instance(t2, inst.s, inst.c, 1, inst.gamma))
-    else:
+    if inst.s * inst.gamma <= inst.c:
         base = build_sigma1(Instance(t2, inst.s, inst.c, 1, inst.gamma))
-    if inst.sigma == 1:
-        base = split_sigma(base, 1)
+    elif (cg, inst.s) in bounds.SIGMA2_THREE_DINNER_PAIRS and inst.t == 1:
+        groups = group_customers(inst.c, inst.gamma)
+        base = Schedule.of(Instance(1, inst.s, inst.c, 2, inst.gamma),
+                           _grid_dinners(_strip_rows(_PAIR_MATCHINGS, inst.s, 2), groups))
     else:
-        base = Schedule.of(dataclasses.replace(base.instance, sigma=inst.sigma), base.dinners)
-    return split_tables(base, inst.t)
+        try:
+            base = build_howell_schedule(Instance(t2, inst.s, inst.c, 2, inst.gamma), node_budget)
+        except SearchBudgetExceeded:
+            base = build_sigma1(Instance(t2, inst.s, inst.c, 1, inst.gamma))
+    return split_tables(split_sigma(base, inst.sigma), inst.t)
 
 
 def build_ub2(inst: Instance) -> Schedule:
@@ -185,35 +175,18 @@ def build_ub2(inst: Instance) -> Schedule:
     t_blocks = bounds.ceil_div(inst.s, sigma)
     if t_blocks > cg:
         raise ConstructionError("build_ub2 needs ceil(s/sigma) <= ceil(c/gamma)")
-    groups = list(group_customers(inst.c, inst.gamma))
-    dinners = []
-
-    def block_member(block: int, member: int) -> int:
-        return block * sigma + member + 1
-
-    first_tables = []
-    for g in range(t_blocks):
-        sups = frozenset(
-            x for x in (block_member(g, m) for m in range(sigma)) if x <= inst.s
-        )
-        if sups:
-            first_tables.append(TableSeating(sups, groups[g]))
-    dinners.append(Dinner.of(first_tables))
-    for d in range(1, t_blocks):
-        for m in range(sigma):
-            tables = []
-            for g in range(t_blocks):
-                sup = block_member((g + d) % t_blocks, m)
-                if sup <= inst.s:
-                    tables.append(TableSeating(frozenset({sup}), groups[g]))
-            if tables:
-                dinners.append(Dinner.of(tables))
+    groups = group_customers(inst.c, inst.gamma)
+    # Block g holds suppliers g*sigma+1 .. (g+1)*sigma, cut off at s; a
+    # rotation row seats member m of a block, or no one past the cut.
+    blocks = [range(g * sigma + 1, min(g * sigma + sigma, inst.s) + 1) for g in range(t_blocks)]
+    rows = [[frozenset(b) for b in blocks]] + [
+        [frozenset(blocks[(g + d) % t_blocks][m : m + 1]) for g in range(t_blocks)]
+        for d in range(1, t_blocks) for m in range(sigma)]
+    dinners = _grid_dinners([row for row in rows if any(row)], groups)
     rest = groups[t_blocks:]
     if rest:
         k2 = sigma * max(t_blocks, cg - t_blocks)
-        dinners.extend(
-            singleton_dinners(list(range(1, inst.s + 1)), rest, t_blocks, k2)
-        )
+        dinners.extend(singleton_dinners(inst.s, rest, t_blocks, k2))
     staged = Schedule.of(dataclasses.replace(inst, t=t_blocks), dinners)
     return split_tables(staged, inst.t)
 

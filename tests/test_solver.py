@@ -87,6 +87,23 @@ def test_oracle_mode_matches_pruned_search():
         assert fast.value == slow.value, cell
 
 
+@pytest.mark.parametrize("field, bad", [
+    ("time_budget", float("nan")), ("time_budget", -1.0), ("time_budget", 0), ("time_budget", "5"),
+    ("time_budget", True), ("max_dinners", 1.5), ("max_dinners", -1), ("max_dinners", "3"),
+    ("max_dinners", True),
+])
+def test_solve_limits_reject_bad_time_and_dinner_budgets(field, bad):
+    with pytest.raises(ValueError, match=field):
+        SolveLimits(**{field: bad})
+
+
+def test_solve_limits_accept_an_endless_deadline_and_a_zero_dinner_cap():
+    res = solve_exact(Instance(1, 1, 1, 1, 1), SolveLimits(time_budget=float("inf")))
+    assert res.status == OPTIMAL and res.value == 1
+    res = solve_exact(Instance(1, 1, 1, 1, 1), SolveLimits(max_dinners=0))
+    assert res.status == INFEASIBLE_AT_BOUND
+
+
 def test_certify_optimal():
     assert certify_optimal(build_trivial(Instance(1, 3, 2, 2, 3)))
     assert certify_optimal(build_prime(Instance(1, 4, 2, 2, 1)))

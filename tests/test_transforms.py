@@ -1,14 +1,17 @@
 """Schedule rewrites preserve feasibility; pipelines stay within their bounds."""
 
+import hashlib
 import random
 import time
+from itertools import product
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from dinners.bounds import compute_bounds, lb_best, ub1, ub2, ub_eucli
-from dinners.constructions import build_sigma1, load_example_schedule
+from dinners.constructions import ConstructionError, build_sigma1, load_example_schedule
+from dinners.howell import SearchBudgetExceeded
 from dinners.model import (
     Dinner,
     Instance,
@@ -18,6 +21,7 @@ from dinners.model import (
     validate_schedule,
 )
 from dinners.transforms import (
+    ROUTES,
     best_feasible,
     build_eucli,
     build_ub1,
@@ -136,6 +140,45 @@ def test_pipeline_reference_counts():
     assert feasible(sched)
     assert build_eucli(Instance(1, 12, 2, 2, 1)).dinner_count() <= 42
     assert build_eucli(Instance(1, 14, 2, 2, 1)).dinner_count() <= 49
+
+
+@pytest.mark.parametrize("s", [3, 4])
+def test_ub1_at_one_table_on_the_three_dinner_shapes(s):
+    # cg = 2, s in {3, 4}: the base gives each group its own pair matching,
+    # 4 dinners.  At sigma = 1 and s = 3 its single-supplier tables need no
+    # split, so the schedule has 6 dinners, below ub1 = 8.
+    for sigma, gamma in product(range(1, 4), range(1, 4)):
+        for c in range(gamma + 1, 2 * gamma + 1):
+            inst = Instance(1, s, c, sigma, gamma)
+            sched = build_ub1(inst)
+            assert feasible(sched), inst
+            expected = 6 if (s, sigma) == (3, 1) else ub1(inst)
+            assert sched.dinner_count() == expected <= ub1(inst), inst
+
+
+# SHA-256 over every instance with t <= 3, s, c <= 6, sigma, gamma <= 3 of
+# each ROUTES entry's encode_schedule text (or the name of the exception it
+# raised) and of best_feasible's, all at a 10k-node Howell budget.  Any change
+# to a schedule a route builds shows here.
+PINNED_ROUTES_DIGEST = "31df653e312b2a28ef324cdb7c5c44d8818f7e2ceec657361bf54e0308234ef1"
+
+
+def test_route_outputs_are_pinned(monkeypatch):
+    import dinners.howell as howell
+
+    monkeypatch.setattr(howell, "_CACHE", {})
+    digest = hashlib.sha256()
+    for cell in product(range(1, 4), range(1, 7), range(1, 7), range(1, 4), range(1, 4)):
+        inst = Instance(*cell)
+        for name, build in ROUTES.items():
+            try:
+                out = encode_schedule(build(inst, 10_000))
+            except (ConstructionError, SearchBudgetExceeded) as exc:
+                out = type(exc).__name__
+            digest.update(f"{cell}{name}{out}".encode())
+        sched, _ = best_feasible(inst, 10_000)
+        digest.update(f"{cell}best{encode_schedule(sched)}".encode())
+    assert digest.hexdigest() == PINNED_ROUTES_DIGEST
 
 
 def test_pipelines_within_bounds_sweep():
