@@ -256,7 +256,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="search node budget per deepening level")
     p.add_argument("--timeout", type=_positive(float), default=None, help="time budget in seconds")
     p.add_argument("--max-dinners", type=_positive(int), default=None,
-                   help="largest dinner count to try")
+                   help="largest dinner count to try (default: ub_best, or below "
+                        "the best construction's count)")
     p.add_argument("--out", help="write the witness schedule to this file ('-' for stdout)")
     p.set_defaults(func=cmd_solve)
 

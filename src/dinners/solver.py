@@ -5,6 +5,19 @@ dinner count D (starting at the best lower bound) a depth-first search builds
 dinners table by table; the first D admitting a feasible completion is the
 optimum because every smaller count was exhausted first.
 
+Incumbent: without an explicit max_dinners or a time budget, the pruned
+search starts from transforms.best_feasible's schedule, whose Howell searches
+get the level node budget each.  It is built only when ub_best * t <=
+node_budget, so it holds no more tables than one level may stack; its Howell
+searches are not bounded that way, and the build does not read the clock
+(hence no incumbent under a time budget).  If it has u <= ub_best dinners,
+only the levels below u are searched, and when none of them holds a schedule
+the construction is returned, with 0 nodes if no level lies below u: Optimal
+when every level was refuted, FeasibleOnly when one was cut.  Howell designs
+found earlier in the process are reused at any budget (generate_howell), so
+the answer may be better than a fresh process's.  An explicit max_dinners,
+or prune=False, searches every level up to the cap.
+
 Symmetry reduction: tables of a dinner are listed in strictly increasing
 canonical key order; the very first table is a prefix block {1..a} x {1..b}
 (any schedule can be relabeled that way); from the third dinner on, the first
@@ -35,7 +48,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, replace
 
-from . import bounds
+from . import bounds, transforms
 from .howell import SearchBudgetExceeded, _Found, run_frames
 from .model import Dinner, Instance, Schedule, TableSeating, validate_schedule
 
@@ -51,7 +64,8 @@ DEFAULT_SOLVE_NODE_BUDGET = 2_000_000
 class SolveLimits:
     """Search limits: node_budget applies to each deepening level, the time
     budget (None: no deadline) to the whole call, and max_dinners (None:
-    ub_best) is the last level searched."""
+    ub_best, or below the incumbent; see the module docstring) is the last
+    level searched."""
 
     max_dinners: int | None = None
     node_budget: int = DEFAULT_SOLVE_NODE_BUDGET
@@ -228,7 +242,7 @@ class _Level:
             self.nodes = nodes
             if nodes > node_cap:
                 raise SearchBudgetExceeded
-            if deadline is not None and not nodes & 4095 and time.monotonic() > deadline:
+            if deadline is not None and time.monotonic() > deadline:
                 raise SearchBudgetExceeded
             nsup, ncust = len(sups), len(custs)
             for i in sups:
@@ -330,9 +344,10 @@ def solve_exact(
     Returns Optimal with a witness when a level succeeds after all smaller
     levels were fully refuted; FeasibleOnly when a witness was found but some
     smaller level was cut by the budget; Infeasible_at_bound when every level
-    up to max_dinners was refuted; BudgetExhausted otherwise.  With
-    prune=False the capacity pruning and lower-bound start are disabled
-    (slow; used to cross-check soundness).
+    up to max_dinners was refuted; BudgetExhausted otherwise.  The witness
+    may be the incumbent construction (see the module docstring).  With
+    prune=False the capacity pruning, the incumbent and the lower-bound start
+    are disabled (slow; used to cross-check soundness).
     """
     limits = limits or SolveLimits()
     deadline = (
@@ -340,6 +355,12 @@ def solve_exact(
     )
     cap = limits.max_dinners if limits.max_dinners is not None else bounds.ub_best(inst)
     start = bounds.lb_best(inst) if prune else 1
+    incumbent = None
+    if (prune and limits.max_dinners is None and deadline is None
+            and cap * inst.t <= limits.node_budget):
+        sched, count = transforms.best_feasible(inst, node_budget=limits.node_budget)
+        if count <= cap:
+            incumbent, cap = sched, count - 1
     keys = _Keys(inst)
     nodes = 0
     cut = False
@@ -360,6 +381,8 @@ def solve_exact(
             return SolveResult(status, witness.dinner_count(), witness, nodes, proven_lb)
         if not cut:
             proven_lb = d_max + 1
+    if incumbent is not None:
+        return SolveResult(FEASIBLE_ONLY if cut else OPTIMAL, cap + 1, incumbent, nodes, proven_lb)
     if cut:
         return SolveResult(BUDGET_EXHAUSTED, None, None, nodes, proven_lb)
     return SolveResult(INFEASIBLE_AT_BOUND, None, None, nodes, proven_lb)

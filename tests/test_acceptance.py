@@ -11,6 +11,7 @@ import time
 from fractions import Fraction
 from itertools import product
 
+from dinners import howell
 from dinners.bounds import (
     compute_bounds,
     lb4,
@@ -186,7 +187,7 @@ def test_criterion_08_half_table_even_case():
           f"the pairing bound at j=2 ({time.time()-t0:.2f}s)")
 
 
-def test_criterion_09_oracle_sweep():
+def test_criterion_09_oracle_sweep(monkeypatch):
     t0 = time.time()
     unresolved = []
     total = 0
@@ -200,7 +201,9 @@ def test_criterion_09_oracle_sweep():
         assert validate_schedule(witness).feasible, inst
         floor = optimum_floor(inst)
         at_floor += count == floor
-        res = solve_exact(inst, SolveLimits(node_budget=400_000, max_dinners=count))
+        # An empty Howell cache, as in a fresh `dinners solve --budget 400000`.
+        monkeypatch.setattr(howell, "_CACHE", {})
+        res = solve_exact(inst, SolveLimits(node_budget=400_000))
         if res.status != OPTIMAL:
             unresolved.append(((t, s, c, sg, gm), res.status, res.lower_bound, res.value))
             continue

@@ -185,10 +185,21 @@ def test_solve_budget_exit_code(capsys):
 
 def test_solve_feasible_only_exits_5_with_its_witness(capsys):
     # The level budget runs out below 18, so 18 is feasible but not proven.
-    code, out, _ = run(capsys, "solve", "1", "4", "5", "2", "1", "--budget", "2000")
+    code, out, _ = run(capsys, "solve", "1", "4", "5", "2", "1", "--budget", "2000",
+                       "--max-dinners", "18")
     assert code == 5
     lines = out.splitlines()
     assert lines[0] == "status=FeasibleOnly value=18 nodes=9679 proven_lower_bound=14"
+    assert [ln.split(":")[0] for ln in lines[1:]] == [f"  dinner {d}" for d in range(1, 19)]
+
+
+def test_solve_returns_the_construction_when_no_smaller_level_is_found(capsys):
+    # By default only levels below the 18-dinner construction are searched;
+    # the budget cuts them, so the construction is the FeasibleOnly witness.
+    code, out, _ = run(capsys, "solve", "1", "4", "5", "2", "1", "--budget", "2000")
+    assert code == 5
+    lines = out.splitlines()
+    assert lines[0] == "status=FeasibleOnly value=18 nodes=8004 proven_lower_bound=14"
     assert [ln.split(":")[0] for ln in lines[1:]] == [f"  dinner {d}" for d in range(1, 19)]
 
 

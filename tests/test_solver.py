@@ -6,8 +6,11 @@ import time
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dinners.bounds import lb_best
+from dinners import howell
+from dinners.bounds import lb_best, ub_best
 from dinners.constructions import build_prime, build_trivial, load_example_schedule
 from dinners.howell import SearchBudgetExceeded
 from dinners.model import Instance, encode_schedule, validate_schedule
@@ -20,6 +23,7 @@ from dinners.solver import (
     certify_optimal,
     solve_exact,
 )
+from dinners.transforms import best_feasible
 
 
 def test_singleton_instance():
@@ -49,8 +53,8 @@ def test_example_instance_optimum_is_three():
 
 def test_determinism_including_node_counts():
     inst = Instance(2, 4, 4, 2, 2)
-    a = solve_exact(inst, SolveLimits(node_budget=500_000))
-    b = solve_exact(inst, SolveLimits(node_budget=500_000))
+    a = solve_exact(inst, SolveLimits(max_dinners=3, node_budget=500_000))
+    b = solve_exact(inst, SolveLimits(max_dinners=3, node_budget=500_000))
     assert (a.status, a.value, a.nodes, a.witness) == (b.status, b.value, b.nodes, b.witness)
 
 
@@ -120,8 +124,6 @@ def test_certify_requires_feasible_input():
 
 
 def test_certify_budget_exhaustion_is_distinct():
-    from dinners.transforms import best_feasible
-
     sched, _ = best_feasible(Instance(2, 5, 5, 2, 2))
     with pytest.raises(SearchBudgetExceeded):
         certify_optimal(sched, SolveLimits(node_budget=200))
@@ -143,7 +145,8 @@ def test_witness_values_match_closed_forms():
 # (cell, node budget per level, max_dinners, prune): status, value, nodes,
 # lower bound and a digest of the witness's JSON, as the recursive search
 # returned them before its rewrite.  Any change to the tree, its order or its
-# node count shows here.
+# node count shows here.  max_dinners None caps the search at ub_best, so
+# these rows pin the search alone, without the construction it may start from.
 PINNED_SOLVES = [
     ((2, 5, 6, 2, 3), 2_000_000, None, True, OPTIMAL, 3, 1118, 3, "281cdcba61a2fae5"),
     ((2, 4, 4, 2, 2), 20_000, None, True, OPTIMAL, 3, 7904, 3, "06839a6557564bbf"),
@@ -161,8 +164,13 @@ PINNED_SOLVES = [
 @pytest.mark.parametrize("cell, budget, max_dinners, prune, status, value, nodes, lb, digest",
                          PINNED_SOLVES)
 def test_search_tree_is_pinned(cell, budget, max_dinners, prune, status, value, nodes, lb, digest):
-    res = solve_exact(Instance(*cell), SolveLimits(max_dinners=max_dinners, node_budget=budget),
-                      prune=prune)
+    inst = Instance(*cell)
+    cap = ub_best(inst) if max_dinners is None else max_dinners
+    res = solve_exact(inst, SolveLimits(max_dinners=cap, node_budget=budget), prune=prune)
+    _assert_pinned(res, status, value, nodes, lb, digest)
+
+
+def _assert_pinned(res, status, value, nodes, lb, digest):
     assert (res.status, res.value, res.nodes, res.lower_bound) == (status, value, nodes, lb)
     if digest is None:
         assert res.witness is None
@@ -171,11 +179,91 @@ def test_search_tree_is_pinned(cell, budget, max_dinners, prune, status, value, 
         assert validate_schedule(res.witness).feasible
 
 
+# The default cap: the search runs only below the best construction's count
+# and returns that construction when no level finds a smaller schedule.  It
+# is Optimal with 0 nodes where the construction meets lb_best, and
+# FeasibleOnly where a level below it was cut.
+@pytest.mark.parametrize("cell, budget, status, value, nodes, lb, digest", [
+    ((2, 5, 6, 2, 3), 2_000_000, OPTIMAL, 3, 0, 3, "7b582a2ab8bf3868"),
+    ((1, 4, 5, 2, 1), 2_000, FEASIBLE_ONLY, 18, 8004, 14, "b42d2763fdf34cd1"),
+    ((1, 3, 5, 2, 2), 2_000, FEASIBLE_ONLY, 7, 2001, 6, "5604f9653aeb67c2"),
+])
+def test_default_cap_starts_from_the_construction(cell, budget, status, value, nodes, lb, digest):
+    res = solve_exact(Instance(*cell), SolveLimits(node_budget=budget))
+    _assert_pinned(res, status, value, nodes, lb, digest)
+
+
 def test_search_depth_is_not_bounded_by_the_recursion_limit():
     # 1200 tables, one a dinner, stacked on one branch of the search.
-    res = solve_exact(Instance(1, 30, 40, 1, 1))
+    res = solve_exact(Instance(1, 30, 40, 1, 1), SolveLimits(max_dinners=1200))
     assert res.status == OPTIMAL and res.value == 1200
     assert validate_schedule(res.witness).feasible
+
+
+@pytest.mark.parametrize("s, budget", [(1500, 0.3), (500, 0.5)])
+def test_time_budget_is_kept(s, budget):
+    # s = 1,500: a node costs about 0.3 ms, so reading the clock every 4,096
+    # nodes would overrun by over a second.  s = 500: building the
+    # 250,000-dinner construction takes over a second and does not read the
+    # clock, so under a deadline the search starts without it.
+    start = time.monotonic()
+    res = solve_exact(Instance(1, s, s, 1, 1), SolveLimits(time_budget=budget))
+    assert time.monotonic() - start < 1.0
+    assert res.status == BUDGET_EXHAUSTED
+
+
+@pytest.mark.parametrize("budget", [17, 18])
+def test_construction_is_built_only_when_ub_best_tables_fit_the_budget(budget):
+    # ub_best * t = 18 here: below that budget the default call is the
+    # search up to ub_best; at it, the construction is the witness.
+    inst = Instance(1, 4, 5, 2, 1)
+    default = solve_exact(inst, SolveLimits(node_budget=budget))
+    searched = solve_exact(inst, SolveLimits(max_dinners=18, node_budget=budget))
+    assert searched.status == BUDGET_EXHAUSTED
+    if budget < 18:
+        assert default == searched
+    else:
+        assert (default.status, default.value, default.lower_bound) == (FEASIBLE_ONLY, 18, 14)
+
+
+def test_default_cap_on_the_box_does_not_depend_on_cached_designs(monkeypatch):
+    # On the criterion-9 box, a 2,000-node call gives the same answer from an
+    # empty Howell cache as after a default-budget build of the same cell.
+    def outcome(res):
+        return res.status, res.value, res.nodes, res.lower_bound, res.witness
+
+    for cell in product(range(1, 4), range(1, 6), range(1, 6), range(1, 4), range(1, 4)):
+        inst = Instance(*cell)
+        monkeypatch.setattr(howell, "_CACHE", {})
+        cold = solve_exact(inst, SolveLimits(node_budget=2_000))
+        best_feasible(inst)
+        assert outcome(solve_exact(inst, SolveLimits(node_budget=2_000))) == outcome(cold), cell
+    # Outside it, an H(7, 8) found by that build is reused at any budget: the
+    # optimum is the same, but it now comes from the construction, unsearched.
+    inst = Instance(1, 8, 7, 2, 1)
+    monkeypatch.setattr(howell, "_CACHE", {})
+    cold = solve_exact(inst, SolveLimits(node_budget=2_000))
+    best_feasible(inst)
+    warm = solve_exact(inst, SolveLimits(node_budget=2_000))
+    assert (cold.status, cold.value, cold.nodes) == (OPTIMAL, 28, 56)
+    assert (warm.status, warm.value, warm.nodes) == (OPTIMAL, 28, 0)
+
+
+@settings(deadline=None)
+@given(cell=st.tuples(st.integers(1, 3), st.integers(1, 5), st.integers(1, 5),
+                      st.integers(1, 3), st.integers(1, 3)))
+def test_default_cap_never_does_worse_than_searching_to_ub_best(cell):
+    # The criterion-9 box at a 2,000-node level budget.
+    inst = Instance(*cell)
+    default = solve_exact(inst, SolveLimits(node_budget=2_000))
+    searched = solve_exact(inst, SolveLimits(max_dinners=ub_best(inst), node_budget=2_000))
+    _, count = best_feasible(inst, node_budget=2_000)
+    assert default.value <= count
+    assert searched.value is None or default.value <= searched.value
+    assert default.lower_bound >= searched.lower_bound
+    for res in (default, searched):
+        assert res.witness is None or validate_schedule(res.witness).feasible
+        assert res.status != OPTIMAL or res.value == res.lower_bound
 
 
 def test_mid_scale_level_enumerates_lazily():
