@@ -6,7 +6,9 @@ each column, and every unordered pair occurs at most once.  Such a design
 exists iff n <= m <= 2n-1 and (m, 2n) is not one of four small exceptions.
 
 H(n, 2n) with n odd or divisible by 4 is built in closed form from two
-orthogonal Latin squares; every other shape is found by backtracking.
+orthogonal Latin squares, and H(6, 12) is stored.  Every other shape is
+first developed from a cyclic starter-adder over Z_m, found by backtracking,
+and only then, if none turns up, found by a backtracking search over cells.
 """
 
 from __future__ import annotations
@@ -343,6 +345,163 @@ def latin_howell(n: int) -> HowellDesign | None:
     return HowellDesign(n, 2 * n, tuple(cells))
 
 
+class _Starter:
+    """Backtracking state for a cyclic starter-adder over Z_m.
+
+    The 2n symbols are Z_m and k = 2n - m infinities.  A starter pairs them
+    into n pairs: k pairs {inf_j, x} and m - n finite pairs {x, y} whose
+    differences +-(y - x) are distinct and never m/2.  Each pair P gets a
+    distinct adder a such that the sets P - a partition the symbols.  Cell
+    (r, r + a) then holds P + r (infinities stay fixed): row r holds the
+    partition P + r, column c the partition P - a shifted by c, and pair
+    {x, y} + r runs once through every pair of its difference.
+
+    Translating the starter or the adders gives another one, so element 0
+    pairs with inf_1 under adder 0.  The search then takes the unpaired
+    element with the fewest open adders (a is open for x while x - a is not
+    covered; ties to the lowest element) and pairs it with an infinity or a
+    partner under every adder open to both.  An unpaired element with no
+    open adder ends the branch.  A seed permutes the partner and adder
+    orderings only; any seed explores the same space.
+    """
+
+    def __init__(self, m: int, n2: int, node_budget: int, seed: int | None = None):
+        self.m = m
+        self.n2 = n2
+        self.node_cap = node_budget
+        self.nodes = 0
+        self.pairs: list[tuple[int, int | None, int]] = [(0, None, 0)]  # (x, y or None for inf, adder)
+        if seed is None:
+            self.partner_rank = self.adder_rank = None
+        else:
+            rng = random.Random(seed * 7919 + 17)
+            partners, adders = list(range(m)), list(range(m))
+            rng.shuffle(partners)
+            rng.shuffle(adders)
+            self.partner_rank, self.adder_rank = _ranks(partners), _ranks(adders)
+
+    def run(self) -> HowellDesign | None:
+        rest = (1 << self.m) - 2  # 0 is paired, its adder used and 0 - 0 covered
+        if run_frames(self._pair(rest, self.n2 - self.m - 1, 0, rest, rest, rest)):
+            return self._design()
+        return None
+
+    def _pair(self, free: int, infs: int, diffs: int, adders: int, negated: int, uncovered: int):
+        """Pair the next element in every way, yielding the frame that
+        searches on from each; raises _Found once every element is paired.
+
+        free: the unpaired elements.  infs: the infinities left.  diffs: the
+        differences used, as min(d, m - d).  adders: the unused adders, and
+        negated their negatives.  uncovered: the elements no P - a covers yet.
+        """
+        if not free:
+            raise _Found
+        m = self.m
+        x, fewest = -1, m + 1
+        f = free
+        while f:
+            low = f & -f
+            f ^= low
+            v = low.bit_length() - 1
+            # {v - a} for the unused adders a is negated rotated by v.
+            open_adders = ((negated << v | negated >> (m - v)) & uncovered).bit_count()
+            if open_adders < fewest:
+                if not open_adders:
+                    return
+                x, fewest = v, open_adders
+        rest = free ^ 1 << x
+        x_adders = [a for a in _bits(adders, self.adder_rank) if uncovered >> (x - a) % m & 1]
+        candidates = _bits(rest, self.partner_rank) if rest.bit_count() > infs else []
+        if infs:
+            candidates.insert(0, None)
+        for y in candidates:
+            if y is not None:
+                d = min((y - x) % m, (x - y) % m)
+                if diffs >> d & 1 or 2 * d == m:
+                    continue
+            for a in x_adders:
+                cover = 1 << (x - a) % m
+                if y is not None:
+                    y_cover = 1 << (y - a) % m
+                    if not y_cover & uncovered:
+                        continue
+                    cover |= y_cover
+                if self.nodes == self.node_cap:
+                    raise SearchBudgetExceeded(f"H({m},{self.n2}) starter exceeded {self.node_cap} nodes")
+                self.nodes += 1
+                self.pairs.append((x, y, a))
+                used = adders ^ 1 << a, negated ^ 1 << -a % m, uncovered ^ cover
+                if y is None:
+                    yield self._pair(rest, infs - 1, diffs, *used)
+                else:
+                    yield self._pair(rest ^ 1 << y, infs, diffs | 1 << d, *used)
+                self.pairs.pop()
+
+    def _design(self) -> HowellDesign:
+        """Develop the starter over Z_m: element v is symbol v + 1, and the
+        j-th infinity is symbol m + j."""
+        m = self.m
+        cells: list[list[tuple[int, int] | None]] = [[None] * m for _ in range(m)]
+        inf = m
+        for x, y, a in self.pairs:
+            if y is None:
+                inf += 1
+            for r in range(m):
+                cells[r][(r + a) % m] = ((x + r) % m + 1, inf if y is None else (y + r) % m + 1)
+        return _normal_form(m, self.n2, cells)
+
+
+def _normal_form(m: int, n2: int, cells: list[list[tuple[int, int] | None]]) -> HowellDesign:
+    """Relabel and reorder a design into the cell search's normal form: row 0
+    holds {1,2},{3,4},... in columns 0..n-1, and row r holds symbol 1 in
+    column r.  The base construction pads an even square shape with symbols
+    2n-1 and 2n, which then share a cell and leave it empty."""
+    head = [k for k in range(m) if cells[0][k]]
+    cols = head + [k for k in range(m) if not cells[0][k]]
+    label = {}
+    for i, k in enumerate(head):
+        x, y = cells[0][k]
+        label[x], label[y] = 2 * i + 1, 2 * i + 2
+    grid = [
+        [None if row[k] is None else tuple(sorted((label[row[k][0]], label[row[k][1]]))) for k in cols]
+        for row in cells
+    ]
+    grid.sort(key=lambda row: next(k for k, cell in enumerate(row) if cell and cell[0] == 1))
+    return HowellDesign(m, n2, tuple(tuple(row) for row in grid))
+
+
+def starter_howell(m: int, n2: int, node_budget: int) -> tuple[HowellDesign | None, int]:
+    """An H(m, 2n) from a cyclic starter-adder over Z_m, and the nodes spent.
+
+    The design is None when the budget runs out first or when no cyclic
+    starter-adder exists: the search space is exhausted, or the shape is one
+    of two that need no search.  As the sets P and P - a both cover Z_m, the
+    adders, weighted by the number of elements of Z_m in their pair, sum to
+    0 mod m.  For m = n every pair holds an infinity, so the adders would
+    form an orthomorphism of Z_m, which even m lacks and odd m does not need
+    (latin_howell).  For odd m = n + 1 the n adders miss one element b of
+    Z_m and sum to -b, so the one finite pair's adder would be b.
+
+    Restarts run the same seeded ladder as search_howell, from 2,000-node
+    attempts.  Requires n <= m <= 2n - 1.
+    """
+    n = n2 // 2
+    if m == n or m == n + 1 and m % 2:
+        return None, 0
+    total = 0
+    seeds_per_round = 64
+    attempt = 0
+    while total < node_budget:
+        cap = min(2_000 * 4 ** (attempt // seeds_per_round), node_budget - total)
+        starter = _Starter(m, n2, cap, None if attempt == 0 else attempt - 1)
+        try:
+            return starter.run(), total + starter.nodes
+        except SearchBudgetExceeded:
+            total += starter.nodes
+            attempt += 1
+    return None, total
+
+
 def search_howell(m: int, n2: int, node_budget: int | None = None) -> HowellDesign | None:
     """Backtracking search, without consulting the existence theorem.
 
@@ -377,6 +536,18 @@ def search_howell(m: int, n2: int, node_budget: int | None = None) -> HowellDesi
             attempt += 1
 
 
+# H(6, 12): n = 6 = 2 mod 4 has no closed form here, and m = n no starter.
+# This is the design search_howell(6, 12, 100_000) finds, after 14,065 nodes:
+# any smaller budget would miss it.
+STORED = {(6, 12): HowellDesign(6, 12, (
+    ((1, 2), (3, 4), (5, 6), (7, 8), (9, 10), (11, 12)),
+    ((7, 5), (1, 10), (2, 9), (3, 11), (6, 12), (8, 4)),
+    ((3, 8), (2, 5), (1, 4), (10, 12), (7, 11), (6, 9)),
+    ((6, 11), (8, 12), (10, 7), (1, 9), (2, 4), (5, 3)),
+    ((9, 12), (6, 7), (8, 11), (5, 4), (1, 3), (2, 10)),
+    ((4, 10), (9, 11), (3, 12), (2, 6), (5, 8), (1, 7)),
+))}
+
 # Per (m, 2n): the design, or the largest node budget a search has run out of.
 _CACHE: dict[tuple[int, int], HowellDesign | int] = {}
 
@@ -385,15 +556,21 @@ def generate_howell(m: int, n2: int, node_budget: int | None = DEFAULT_NODE_BUDG
     """Return an H(m, 2n), or None when no such design exists.
 
     Existence is decided by the characterization theorem.  An H(n, 2n) with
-    n odd or divisible by 4 is built in closed form (latin_howell); any
-    other design is found by backtracking, raising SearchBudgetExceeded if
-    the node budget runs out first.  Results are cached per (m, 2n), search
-    failures too: the search is deterministic, so a budget no larger than one
-    that already ran out raises at once, and only a larger one searches again.
+    n odd or divisible by 4 is built in closed form (latin_howell), and
+    H(6, 12) is STORED.  Any other design comes from the cyclic starter-adder
+    search (starter_howell), given at most half the node budget, or else
+    from the cell search (search_howell), given the rest; SearchBudgetExceeded
+    is raised when both run out.  A budget of None gives the starter half
+    the default budget and the cell search no limit.  Results are cached per
+    (m, 2n), failures too: both searches are deterministic, so a budget no
+    larger than one that already ran out raises at once, and only a larger
+    one searches again.
     """
     if not howell_exists(m, n2):
         return None
     key = (m, n2)
+    if key in STORED:
+        return STORED[key]
     known = _CACHE.get(key)
     if isinstance(known, HowellDesign):
         return known
@@ -403,12 +580,15 @@ def generate_howell(m: int, n2: int, node_budget: int | None = DEFAULT_NODE_BUDG
         return design
     if known is not None and node_budget is not None and node_budget <= known:
         raise SearchBudgetExceeded(f"H({m},{n2}) search already exceeded {known} nodes")
-    try:
-        design = search_howell(m, n2, node_budget)
-    except SearchBudgetExceeded:
-        _CACHE[key] = node_budget
-        raise
+    budget = DEFAULT_NODE_BUDGET if node_budget is None else node_budget
+    design, spent = starter_howell(m, n2, budget // 2)
     if design is None:
-        raise AssertionError(f"H{key} must exist but the search found none")
+        try:
+            design = search_howell(m, n2, None if node_budget is None else node_budget - spent)
+        except SearchBudgetExceeded:
+            _CACHE[key] = node_budget
+            raise
+        if design is None:
+            raise AssertionError(f"H{key} must exist but the search found none")
     _CACHE[key] = design
     return design

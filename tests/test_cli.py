@@ -203,6 +203,17 @@ def test_solve_returns_the_construction_when_no_smaller_level_is_found(capsys):
     assert [ln.split(":")[0] for ln in lines[1:]] == [f"  dinner {d}" for d in range(1, 19)]
 
 
+def test_build_of_a_design_the_cell_search_cannot_find_returns_at_once():
+    # H(18,30) ran the cell search to its 20M-node default budget: minutes.
+    # A cyclic starter-adder gives it in a few dozen nodes.
+    env_path = str(Path(dinners.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-m", "dinners", "build", "18", "30", "18", "2", "1"],
+                          capture_output=True, text=True, timeout=5,
+                          env={**os.environ, "PYTHONPATH": env_path})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "dinners=18 optimal=yes"
+
+
 @pytest.mark.parametrize("argv", [["solve", "1", "4", "5", "2", "1", "--budget", "2000"],
                                   ["build", "2", "5", "6", "2", "3", "--out", "-"]],
                          ids=["solve", "build"])
@@ -246,15 +257,17 @@ def test_build_auto_falls_back_when_howell_budget_runs_out(monkeypatch, capsys):
         raise howell.SearchBudgetExceeded(f"H({m},{n2}) search exceeded {node_budget} nodes")
 
     monkeypatch.setattr(howell, "_CACHE", {})
+    monkeypatch.setattr(howell, "starter_howell", lambda m, n2, node_budget: (None, node_budget))
     monkeypatch.setattr(howell, "search_howell", exhausted)
-    # The howell route needs H(6,12), which has no closed form (6 = 2 mod 4).
-    code, out, _ = run(capsys, "build", "6", "12", "10", "2", "2", "--out", "-")
+    # The howell route needs H(8,12), which has no closed form (8 != 12 / 2):
+    # with neither generator finding it, the floor of 8 is out of reach.
+    code, out, _ = run(capsys, "build", "6", "12", "16", "2", "2", "--out", "-")
     assert code == 0
-    assert "dinners=12 optimal=unknown" in out  # the floor is 6
+    assert "dinners=23 optimal=unknown" in out
     sched = decode_schedule(out[: out.index("\ndinners=") + 1])
     assert validate_schedule(sched).feasible
     # An explicit strategy still reports the exhausted budget.
-    code, _, err = run(capsys, "build", "6", "12", "10", "2", "2", "--strategy", "howell")
+    code, _, err = run(capsys, "build", "6", "12", "16", "2", "2", "--strategy", "howell")
     assert code == 4 and "budget" in err
 
 

@@ -95,16 +95,24 @@ def test_validate_howell_catches_broken_arrays():
 
 
 def test_failed_search_is_cached_per_budget(monkeypatch):
+    # Z_6 has no cyclic starter-adder for H(6,8), which the starter proves in
+    # a few nodes; the cell search gets the rest of the budget.
+    design, spent = howell.starter_howell(6, 8, 1_000)
+    assert design is None and 0 < spent < 100
     calls = []
     monkeypatch.setattr(howell, "_CACHE", {})
     monkeypatch.setattr(howell, "search_howell",
                         lambda m, n2, budget: calls.append(budget) or search_howell(m, n2, budget))
     for budget in (200, 100, 200, 400):
         with pytest.raises(SearchBudgetExceeded):
-            generate_howell(9, 10, budget)
-    assert calls == [200, 400]  # budgets no larger than a failed one raise at once
-    design = generate_howell(9, 10, None)
-    assert validate_howell(design) == [] and generate_howell(9, 10, 1) is design
+            generate_howell(6, 8, budget)
+    assert calls == [200 - spent, 400 - spent]  # budgets no larger than a failed one raise at once
+    design = generate_howell(6, 8, None)
+    assert validate_howell(design) == [] and generate_howell(6, 8, 1) is design
+    calls.clear()
+    with pytest.raises(SearchBudgetExceeded):
+        generate_howell(14, 16, 1_001)  # the starter runs out of its half
+    assert calls == [501]
 
 
 def _recording_search(monkeypatch) -> list:
@@ -133,11 +141,54 @@ def test_closed_form_designs_are_valid_and_never_searched(monkeypatch):
 
 def test_shapes_without_a_closed_form_are_searched(monkeypatch):
     calls = _recording_search(monkeypatch)
-    shapes = [(6, 12), (10, 20), (6, 10), (7, 12), (9, 10), (15, 16)]  # n = 2 mod 4, or m > n
+    # n = 2 mod 4 with m = n, odd m = n + 1, and two shapes whose starter
+    # search space is exhausted.
+    shapes = [(10, 20), (14, 28), (7, 12), (9, 16), (6, 8), (8, 10)]
     for m, n2 in shapes:
         with pytest.raises(SearchBudgetExceeded):
-            generate_howell(m, n2, node_budget=1)
+            generate_howell(m, n2, node_budget=10_000)
     assert calls == shapes
+
+
+def test_starter_designs_are_valid_normal_and_deterministic(monkeypatch):
+    # Every shape m > n with 2n <= 40 that the starter builds inside the
+    # 10k-node budget best_feasible gets in the plan benchmark, search off.
+    calls = _recording_search(monkeypatch)
+    built = {}
+    for n2 in range(4, 41, 2):
+        n = n2 // 2
+        for m in range(n + 1, n2):
+            if not howell_exists(m, n2):
+                continue
+            try:
+                design = generate_howell(m, n2, 10_000)
+            except SearchBudgetExceeded:
+                continue
+            assert validate_howell(design) == [], (m, n2)
+            assert design.cells[0][:n] == tuple((2 * i + 1, 2 * i + 2) for i in range(n)), (m, n2)
+            assert all(1 in design.cells[r][r] for r in range(m)), (m, n2)
+            built[m, n2] = design
+    assert len(built) + len(calls) == sum(1 for n2 in range(4, 41, 2) for m in range(n2 // 2 + 1, n2)
+                                          if howell_exists(m, n2))
+    assert {(12, 22), (17, 30), (18, 30), (23, 38), (24, 38), (9, 10), (15, 16)} <= set(built)
+    assert len(built) >= 150  # of 187
+    monkeypatch.setattr(howell, "_CACHE", {})
+    for (m, n2), design in built.items():
+        assert generate_howell(m, n2, 10_000) == design, (m, n2)
+
+
+def test_stored_h6_12_is_the_searched_design(monkeypatch):
+    monkeypatch.setattr(howell, "_CACHE", {})
+    stored = generate_howell(6, 12, node_budget=1)
+    assert stored == search_howell(6, 12, 100_000)
+    assert validate_howell(stored) == [] and howell._CACHE == {}
+
+
+@pytest.mark.parametrize("budget", [2_000, 10_000])
+def test_small_searched_shapes_are_found_at_small_budgets(monkeypatch, budget):
+    for m, n2 in [(4, 6), (6, 8)]:
+        monkeypatch.setattr(howell, "_CACHE", {})
+        assert validate_howell(generate_howell(m, n2, budget)) == []
 
 
 # (m, 2n, node budget, outcome, nodes of each restart, digest of every

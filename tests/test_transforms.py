@@ -1,14 +1,19 @@
 """Schedule rewrites preserve feasibility; pipelines stay within their bounds."""
 
 import hashlib
+import os
 import random
+import subprocess
+import sys
 import time
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import dinners
 from dinners.bounds import compute_bounds, lb_best, ub1, ub2, ub_eucli
 from dinners.constructions import ConstructionError, build_sigma1, load_example_schedule
 from dinners.howell import SearchBudgetExceeded
@@ -160,7 +165,7 @@ def test_ub1_at_one_table_on_the_three_dinner_shapes(s):
 # each ROUTES entry's encode_schedule text (or the name of the exception it
 # raised) and of best_feasible's, all at a 10k-node Howell budget.  Any change
 # to a schedule a route builds shows here.
-PINNED_ROUTES_DIGEST = "31df653e312b2a28ef324cdb7c5c44d8818f7e2ceec657361bf54e0308234ef1"
+PINNED_ROUTES_DIGEST = "a813e50d69b634c5c9d42eea22524e70006bb58dbaa0ceb388ba43b69784cf43"
 
 
 def test_route_outputs_are_pinned(monkeypatch):
@@ -181,11 +186,26 @@ def test_route_outputs_are_pinned(monkeypatch):
     assert digest.hexdigest() == PINNED_ROUTES_DIGEST
 
 
+@pytest.mark.parametrize("cell, budget, count", [
+    ((10, 50, 100, 3, 4), None, 75),  # H(25,50), closed form, at the default budget
+    ((3, 20, 30, 2, 2), 2_000_000, 60),  # H(15,20): the cell search ran 2M nodes, 11 s
+])
+def test_best_feasible_of_a_mid_scale_cell_returns_at_once(cell, budget, count):
+    # In a fresh process, so that no design is cached, and under a wall-clock
+    # timeout, since the failure this guards against is a hang.
+    budget_arg = "" if budget is None else f", {budget}"
+    code = ("from dinners.model import Instance, validate_schedule\n"
+            "from dinners.transforms import best_feasible\n"
+            f"sched, count = best_feasible(Instance{cell}{budget_arg})\n"
+            "print(count, validate_schedule(sched).feasible)\n")
+    env_path = str(Path(dinners.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=5,
+                          env={**os.environ, "PYTHONPATH": env_path})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [str(count), "True"]
+
+
 def test_pipelines_within_bounds_sweep():
-    # Shapes needing minutes-long array searches are skipped: with the budget
-    # exhausted, build_ub1 falls back to single-supplier tables and may land
-    # above ub1 by design.
-    too_big = {(10, 11), (11, 11), (10, 12), (11, 12), (12, 12)}
     rng = random.Random(42)
     cells = [
         (t, s, c, sg, gm)
@@ -197,8 +217,6 @@ def test_pipelines_within_bounds_sweep():
     ]
     for cell in rng.sample(cells, 500):
         inst = Instance(*cell)
-        if (inst.customer_groups, inst.s) in too_big:
-            continue
         rep = compute_bounds(inst)
         s1 = build_ub1(inst)
         assert feasible(s1), cell
