@@ -1,22 +1,27 @@
-"""Exact minimum-dinner solver: iterative deepening over the dinner count.
+"""Exact minimum-dinner solver: depth-limited searches over the dinner count.
 
-Desk-scale oracle used to certify the constructions.  For each candidate
-dinner count D (starting at the best lower bound) a depth-first search builds
-dinners table by table; the first D admitting a feasible completion is the
-optimum because every smaller count was exhausted first.
+Desk-scale oracle used to certify the constructions.  A level D is a
+depth-first search, dinner by dinner and table by table, for a schedule in at
+most D dinners.  Levels are climbed from the best lower bound, and the first
+that holds a schedule is the optimum, every smaller count being refuted.  A
+level cut by the budget ends the climb, since no level above it can raise the
+proven bound.  The search then descends from the cap: each witness becomes
+the answer and the next level is one below its count.  The descent stops at
+a cut level, just above the first cut one (it would be cut again), or at a
+refuted level D, which proves D + 1 dinners: Optimal when that is the
+witness's count.
 
 Incumbent: without an explicit max_dinners or a time budget, the pruned
 search starts from transforms.best_feasible's schedule, whose Howell searches
 get the level node budget each.  It is built only when ub_best * t <=
 node_budget, so it holds no more tables than one level may stack; its Howell
 searches are not bounded that way, and the build does not read the clock
-(hence no incumbent under a time budget).  If it has u <= ub_best dinners,
-only the levels below u are searched, and when none of them holds a schedule
-the construction is returned, with 0 nodes if no level lies below u: Optimal
-when every level was refuted, FeasibleOnly when one was cut.  Howell designs
-found earlier in the process are reused at any budget (generate_howell), so
-the answer may be better than a fresh process's.  An explicit max_dinners,
-or prune=False, searches every level up to the cap.
+(hence no incumbent under a time budget).  If it has u <= ub_best dinners, it
+is the first witness and the cap is u - 1, so only levels below u are
+searched; with none there it is returned at 0 nodes.  Howell designs found
+earlier in the process are reused at any budget (generate_howell), so the
+answer may be better than a fresh process's.  An explicit max_dinners, or
+prune=False, caps the levels at max_dinners or ub_best, without incumbent.
 
 Symmetry reduction: tables of a dinner are listed in strictly increasing
 canonical key order; the very first table is a prefix block {1..a} x {1..b}
@@ -62,10 +67,10 @@ DEFAULT_SOLVE_NODE_BUDGET = 2_000_000
 
 @dataclass(frozen=True)
 class SolveLimits:
-    """Search limits: node_budget applies to each deepening level, the time
-    budget (None: no deadline) to the whole call, and max_dinners (None:
-    ub_best, or below the incumbent; see the module docstring) is the last
-    level searched."""
+    """Search limits: node_budget applies to each level, the time budget
+    (None: no deadline) to the whole call, and max_dinners (None: ub_best,
+    or below the incumbent; see the module docstring) is the highest level
+    searched."""
 
     max_dinners: int | None = None
     node_budget: int = DEFAULT_SOLVE_NODE_BUDGET
@@ -339,15 +344,18 @@ class _Level:
 def solve_exact(
     inst: Instance, limits: SolveLimits | None = None, prune: bool = True
 ) -> SolveResult:
-    """Find the minimum dinner count by iterative deepening.
+    """Find the minimum dinner count: climb the levels, then descend from
+    the cap after a cut one (see the module docstring).
 
-    Returns Optimal with a witness when a level succeeds after all smaller
-    levels were fully refuted; FeasibleOnly when a witness was found but some
-    smaller level was cut by the budget; Infeasible_at_bound when every level
-    up to max_dinners was refuted; BudgetExhausted otherwise.  The witness
-    may be the incumbent construction (see the module docstring).  With
-    prune=False the capacity pruning, the incumbent and the lower-bound start
-    are disabled (slow; used to cross-check soundness).
+    Returns Optimal with a witness whose count equals the proven lower
+    bound (every smaller level refuted); FeasibleOnly with the smallest
+    witness found when a cut level leaves a gap below it; Infeasible_at_bound
+    when the levels up to the cap are refuted; BudgetExhausted otherwise.
+    lower_bound rises past a refuted level only while no level below it
+    was cut, or at the refuted level that ends a descent.  The witness may
+    be the incumbent construction.  With prune=False the capacity pruning,
+    the incumbent and the lower-bound start are disabled (slow; used to
+    cross-check soundness).
     """
     limits = limits or SolveLimits()
     deadline = (
@@ -363,29 +371,32 @@ def solve_exact(
             incumbent, cap = sched, count - 1
     keys = _Keys(inst)
     nodes = 0
-    cut = False
-    proven_lb = start
-    for d_max in range(start, cap + 1):
+    # Levels bottom..top are still open; lower is the proven bound.
+    lower, bottom, top, best = start, start, cap, incumbent
+    climbing = True
+    while bottom <= top:
+        d_max = bottom if climbing else top
         level = _Level(inst, keys, d_max, prune, limits.node_budget, deadline)
         try:
             witness = level.run()
         except SearchBudgetExceeded:
             nodes += level.nodes
-            cut = True
-            if deadline is not None and time.monotonic() > deadline:
+            if not climbing or (deadline is not None and time.monotonic() > deadline):
                 break
+            # A level above a cut one can no longer raise the bound, so
+            # descend from the cap, stopping above d_max (it would be cut again).
+            climbing, bottom = False, d_max + 1
             continue
         nodes += level.nodes
-        if witness is not None:
-            status = OPTIMAL if not cut else FEASIBLE_ONLY
-            return SolveResult(status, witness.dinner_count(), witness, nodes, proven_lb)
-        if not cut:
-            proven_lb = d_max + 1
-    if incumbent is not None:
-        return SolveResult(FEASIBLE_ONLY if cut else OPTIMAL, cap + 1, incumbent, nodes, proven_lb)
-    if cut:
-        return SolveResult(BUDGET_EXHAUSTED, None, None, nodes, proven_lb)
-    return SolveResult(INFEASIBLE_AT_BOUND, None, None, nodes, proven_lb)
+        if witness is None:  # no schedule in <= d_max dinners
+            lower = bottom = d_max + 1
+        else:
+            best, top = witness, witness.dinner_count() - 1
+    if best is not None:
+        value = best.dinner_count()
+        return SolveResult(OPTIMAL if value == lower else FEASIBLE_ONLY, value, best, nodes, lower)
+    status = INFEASIBLE_AT_BOUND if lower > cap else BUDGET_EXHAUSTED
+    return SolveResult(status, None, None, nodes, lower)
 
 
 def certify_optimal(sched: Schedule, limits: SolveLimits | None = None) -> bool:

@@ -189,7 +189,7 @@ def test_solve_feasible_only_exits_5_with_its_witness(capsys):
                        "--max-dinners", "18")
     assert code == 5
     lines = out.splitlines()
-    assert lines[0] == "status=FeasibleOnly value=18 nodes=9679 proven_lower_bound=14"
+    assert lines[0] == "status=FeasibleOnly value=18 nodes=5677 proven_lower_bound=14"
     assert [ln.split(":")[0] for ln in lines[1:]] == [f"  dinner {d}" for d in range(1, 19)]
 
 
@@ -199,8 +199,22 @@ def test_solve_returns_the_construction_when_no_smaller_level_is_found(capsys):
     code, out, _ = run(capsys, "solve", "1", "4", "5", "2", "1", "--budget", "2000")
     assert code == 5
     lines = out.splitlines()
-    assert lines[0] == "status=FeasibleOnly value=18 nodes=8004 proven_lower_bound=14"
+    assert lines[0] == "status=FeasibleOnly value=18 nodes=4002 proven_lower_bound=14"
     assert [ln.split(":")[0] for ln in lines[1:]] == [f"  dinner {d}" for d in range(1, 19)]
+
+
+def test_solve_stops_after_the_first_cut_level_and_one_descent_level():
+    # Climbing on past the cut lb_best = 465 searched every level up to the
+    # 885-dinner construction, a full budget each: minutes.  Now the climb
+    # stops at 465, and the descent stops when the level below 885 is cut.
+    env_path = str(Path(dinners.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-m", "dinners", "solve", "1", "30", "30", "2", "1",
+                           "--budget", "200000"],
+                          capture_output=True, text=True, timeout=20,
+                          env={**os.environ, "PYTHONPATH": env_path})
+    assert proc.returncode == 5, proc.stderr
+    assert proc.stdout.splitlines()[0] == (
+        "status=FeasibleOnly value=885 nodes=400002 proven_lower_bound=465")
 
 
 def test_build_of_a_design_the_cell_search_cannot_find_returns_at_once():

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dinners import howell
+from dinners import howell, solver
 from dinners.bounds import lb_best, ub_best
 from dinners.constructions import build_prime, build_trivial, load_example_schedule
 from dinners.howell import SearchBudgetExceeded
@@ -144,7 +144,10 @@ def test_witness_values_match_closed_forms():
 
 # (cell, node budget per level, max_dinners, prune): status, value, nodes,
 # lower bound and a digest of the witness's JSON, as the recursive search
-# returned them before its rewrite.  Any change to the tree, its order or its
+# returned them before its rewrite.  nodes is the count of the full climb
+# from lb_best (`_climb` below), so each level's tree stays pinned; the
+# solver's own count differs only where it descends after a cut level, and
+# DESCENT_NODES holds it there.  Any change to the tree, its order or its
 # node count shows here.  max_dinners None caps the search at ub_best, so
 # these rows pin the search alone, without the construction it may start from.
 PINNED_SOLVES = [
@@ -166,8 +169,15 @@ PINNED_SOLVES = [
 def test_search_tree_is_pinned(cell, budget, max_dinners, prune, status, value, nodes, lb, digest):
     inst = Instance(*cell)
     cap = ub_best(inst) if max_dinners is None else max_dinners
-    res = solve_exact(inst, SolveLimits(max_dinners=cap, node_budget=budget), prune=prune)
-    _assert_pinned(res, status, value, nodes, lb, digest)
+    limits = SolveLimits(max_dinners=cap, node_budget=budget)
+    res = solve_exact(inst, limits, prune=prune)
+    _assert_pinned(res, status, value, DESCENT_NODES.get(cell, nodes), lb, digest)
+    assert _climb(inst, limits, prune) == (status, value, lb, nodes)
+
+
+# The solver's node counts on the PINNED_SOLVES rows where a level is cut:
+# it searches down from the cap after the first cut level, not on up.
+DESCENT_NODES = {(1, 4, 5, 2, 1): 5677, (1, 3, 5, 2, 2): 4002}
 
 
 def _assert_pinned(res, status, value, nodes, lb, digest):
@@ -182,15 +192,20 @@ def _assert_pinned(res, status, value, nodes, lb, digest):
 # The default cap: the search runs only below the best construction's count
 # and returns that construction when no level finds a smaller schedule.  It
 # is Optimal with 0 nodes where the construction meets lb_best, and
-# FeasibleOnly where a level below it was cut.
+# FeasibleOnly where a level below it was cut.  nodes is the full climb's
+# count, as in PINNED_SOLVES; on (1, 4, 5, 2, 1) the solver descends after
+# cutting 14 and searches 4,002 nodes.
 @pytest.mark.parametrize("cell, budget, status, value, nodes, lb, digest", [
     ((2, 5, 6, 2, 3), 2_000_000, OPTIMAL, 3, 0, 3, "7b582a2ab8bf3868"),
     ((1, 4, 5, 2, 1), 2_000, FEASIBLE_ONLY, 18, 8004, 14, "b42d2763fdf34cd1"),
     ((1, 3, 5, 2, 2), 2_000, FEASIBLE_ONLY, 7, 2001, 6, "5604f9653aeb67c2"),
 ])
 def test_default_cap_starts_from_the_construction(cell, budget, status, value, nodes, lb, digest):
-    res = solve_exact(Instance(*cell), SolveLimits(node_budget=budget))
-    _assert_pinned(res, status, value, nodes, lb, digest)
+    inst = Instance(*cell)
+    limits = SolveLimits(node_budget=budget)
+    res = solve_exact(inst, limits)
+    _assert_pinned(res, status, value, {(1, 4, 5, 2, 1): 4002}.get(cell, nodes), lb, digest)
+    assert _climb(inst, limits) == (status, value, lb, nodes)
 
 
 def test_search_depth_is_not_bounded_by_the_recursion_limit():
@@ -265,6 +280,77 @@ def test_default_cap_never_does_worse_than_searching_to_ub_best(cell):
     for res in (default, searched):
         assert res.witness is None or validate_schedule(res.witness).feasible
         assert res.status != OPTIMAL or res.value == res.lower_bound
+
+
+def _climb(inst, limits, prune=True):
+    """The solver's level order before the descent: every level from lb_best
+    to the cap, the bound raised only while no level has been cut.  Returns
+    status, value, lower bound and nodes."""
+    cap = ub_best(inst) if limits.max_dinners is None else limits.max_dinners
+    incumbent = None
+    if prune and limits.max_dinners is None and cap * inst.t <= limits.node_budget:
+        sched, count = best_feasible(inst, node_budget=limits.node_budget)
+        if count <= cap:
+            incumbent, cap = sched, count - 1
+    keys = solver._Keys(inst)
+    nodes, cut, lower = 0, False, lb_best(inst) if prune else 1
+    for d_max in range(lower, cap + 1):
+        level = solver._Level(inst, keys, d_max, prune, limits.node_budget, None)
+        try:
+            witness = level.run()
+        except SearchBudgetExceeded:
+            witness, cut = None, True
+        nodes += level.nodes
+        if witness is not None:
+            return FEASIBLE_ONLY if cut else OPTIMAL, witness.dinner_count(), lower, nodes
+        if not cut:
+            lower = d_max + 1
+    if incumbent is not None:
+        return FEASIBLE_ONLY if cut else OPTIMAL, cap + 1, lower, nodes
+    return BUDGET_EXHAUSTED if cut else INFEASIBLE_AT_BOUND, None, lower, nodes
+
+
+@pytest.mark.parametrize("explicit_cap", [False, True])
+def test_descent_after_a_cut_level_answers_as_the_full_climb(explicit_cap):
+    # On the criterion-9 box at 2,000 nodes a level, with the default cap and
+    # with max_dinners = ub_best.  Nodes rise on a few explicit-cap cells, so
+    # only their sum is compared.
+    new_nodes = old_nodes = 0
+    for cell in product(range(1, 4), range(1, 6), range(1, 6), range(1, 4), range(1, 4)):
+        inst = Instance(*cell)
+        limits = SolveLimits(max_dinners=ub_best(inst) if explicit_cap else None,
+                             node_budget=2_000)
+        res = solve_exact(inst, limits)
+        status, value, lower, nodes = _climb(inst, limits)
+        assert (res.status, res.value, res.lower_bound) == (status, value, lower), cell
+        new_nodes += res.nodes
+        old_nodes += nodes
+    assert new_nodes < old_nodes
+
+
+def test_a_refuted_level_above_a_cut_one_proves_the_bound(monkeypatch):
+    # Scripted levels: lb_best = 14 is cut, the 18-dinner schedule is found
+    # at the cap, and 17 is refuted, so 18 is optimal.  The climb would have
+    # searched 15..18 and proven nothing past 14.
+    inst = Instance(1, 4, 5, 2, 1)
+    sched, count = best_feasible(inst)
+    assert (lb_best(inst), count) == (14, 18)
+    searched = []
+
+    class Scripted:
+        def __init__(self, inst, keys, d_max, prune, node_cap, deadline):
+            self.d_max, self.nodes = d_max, 1
+            searched.append(d_max)
+
+        def run(self):
+            if self.d_max == 14:
+                raise SearchBudgetExceeded
+            return sched if self.d_max == 18 else None
+
+    monkeypatch.setattr(solver, "_Level", Scripted)
+    res = solve_exact(inst, SolveLimits(max_dinners=18))
+    assert (res.status, res.value, res.lower_bound, res.nodes) == (OPTIMAL, 18, 18, 3)
+    assert res.witness is sched and searched == [14, 18, 17]
 
 
 def test_mid_scale_level_enumerates_lazily():
