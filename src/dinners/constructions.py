@@ -108,14 +108,18 @@ def singleton_dinners(
     return dinners
 
 
+def sigma1_dinner_count(inst: Instance) -> int:
+    """Closed-form optimum for sigma = 1: max(s, cg, ceil(s*cg/t))."""
+    cg = inst.customer_groups
+    return max(inst.s, cg, bounds.ceil_div(inst.s * cg, inst.t))
+
+
 def build_sigma1(inst: Instance) -> Schedule:
-    """Optimal schedule for sigma = 1: max(s, cg, ceil(s*cg/t)) dinners."""
+    """Optimal schedule for sigma = 1: sigma1_dinner_count dinners."""
     if inst.sigma != 1:
         raise ConstructionError("build_sigma1 needs sigma == 1")
-    cg = inst.customer_groups
-    k = max(inst.s, cg, bounds.ceil_div(inst.s * cg, inst.t))
     groups = group_customers(inst.c, inst.gamma)
-    dinners = singleton_dinners(inst.s, groups, inst.t, k)
+    dinners = singleton_dinners(inst.s, groups, inst.t, sigma1_dinner_count(inst))
     return Schedule.of(inst, dinners)
 
 

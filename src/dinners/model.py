@@ -8,6 +8,7 @@ most ``sigma`` suppliers and ``gamma`` customers.  All ids are 1-based.
 
 from __future__ import annotations
 
+import functools
 import json
 from collections import Counter, defaultdict
 from dataclasses import dataclass
@@ -243,18 +244,20 @@ def encode_schedule(sched: Schedule) -> str:
     {"instance": {"t", "s", "c", "sigma", "gamma"}, "dinners": [[{"suppliers":
     [...], "customers": [...]}, ...], ...]}: 2-space indent, one id per line.
     It is joined from strings here, because ``indent`` sends json.dumps to its
-    pure-Python encoder.
+    pure-Python encoder.  Schedules repeat their customer groups and supplier
+    blocks, so each distinct id set is written once per call and reused.
     """
     inst = sched.instance
     head = (f'{{\n  "instance": {{\n    "t": {inst.t},\n    "s": {inst.s},\n    "c": {inst.c},\n'
             f'    "sigma": {inst.sigma},\n    "gamma": {inst.gamma}\n  }},\n  "dinners": ')
     if not sched.dinners:
         return head + "[]\n}\n"
+    array = functools.cache(_id_array)  # a fresh memo for this call
     dinners = []
     for dinner in sched.dinners:
         tables = [
-            '{\n        "suppliers": ' + _id_array(tab.suppliers)
-            + ',\n        "customers": ' + _id_array(tab.customers) + "\n      }"
+            '{\n        "suppliers": ' + array(tab.suppliers)
+            + ',\n        "customers": ' + array(tab.customers) + "\n      }"
             for tab in dinner.tables
         ]
         dinners.append("[\n      " + ",\n      ".join(tables) + "\n    ]" if tables else "[]")

@@ -5,14 +5,21 @@ another (fewer tables, smaller supplier cap, grouped customers, merged
 supplier pools); the pipelines compose them with the special-case builders to
 produce witness schedules matching the closed-form upper bounds.  ROUTES
 lists the paper's special cases and then the pipelines that build every
-instance; best_feasible walks it, and the CLI's build strategies name its
-entries.  A schedule is optimal when its dinner count equals
+instance, and the CLI's build strategies name its entries.  ROUTE_COUNTS
+gives each route a dinner count it never builds fewer than, worked out
+without building: exact for trivial, sigma1, prime, howell, caspar and eucli
+(eucli_dinner_count, which the paper's bounds.ub_eucli lies above), and
+bounds.optimum_floor for ub1, whose count depends on the Howell design and
+its fallback.  best_feasible builds the routes in count order and stops
+once no route left can beat the kept schedule, so a route whose count
+cannot win is not built.  A schedule is optimal when its dinner count equals
 bounds.optimum_floor, whichever route built it.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -26,6 +33,8 @@ from .constructions import (
     build_prime,
     build_sigma1,
     build_trivial,
+    cas_par_dinner_count,
+    sigma1_dinner_count,
     singleton_dinners,
 )
 from .howell import DEFAULT_NODE_BUDGET, SearchBudgetExceeded
@@ -205,8 +214,37 @@ def build_eucli(inst: Instance) -> Schedule:
     return combined
 
 
-# Each route is build(inst, node_budget), in the order best_feasible walks
-# them.  A special case raises ConstructionError when the instance fails its
+def eucli_dinner_count(inst: Instance) -> int:
+    """The dinner count build_eucli builds, in closed form.
+
+    Per supplier block of z, build_ub2 stages dinners on b = ceil(z/sigma)
+    tables: one of the b supplier blocks, then (b-1)*sigma rotation rows, of
+    b tables for the r members of the last block and b - 1 for the rest; the
+    g = cg - b other groups take k = sigma*max(b, g) equitable colour classes
+    of the z*g single-supplier tables, (q, e) = divmod(z*g, k) giving e of size
+    q + 1 and k - e of size q.  Splitting to t tables turns a staged dinner of
+    w tables into ceil(w/t).  The paper's bounds.ub_eucli lies above this
+    count on every instance compared.
+    """
+    cg, sigma, t = inst.customer_groups, inst.sigma, inst.t
+
+    def block(z: int) -> int:
+        b = bounds.ceil_div(z, sigma)
+        r, g = z - (b - 1) * sigma, cg - b
+        total = bounds.ceil_div(b, t) + (b - 1) * (
+            r * bounds.ceil_div(b, t) + (sigma - r) * bounds.ceil_div(b - 1, t))
+        if g:
+            k = sigma * max(b, g)
+            q, e = divmod(z * g, k)
+            total += e * bounds.ceil_div(q + 1, t) + (k - e) * bounds.ceil_div(q, t)
+        return total
+
+    full, rest = divmod(inst.s, sigma * cg)
+    return full * block(sigma * cg) + (block(rest) if rest else 0)
+
+
+# Each route is build(inst, node_budget); best_feasible breaks ties between
+# equal dinner counts in this order.  A special case raises ConstructionError when the instance fails its
 # preconditions; TOTAL_ROUTES build every instance.  Entries look builders up
 # by module-level name at call time, so replacing a module attribute (to trace
 # or stub it) reaches them.  build_ub2 is no route of its own: where it
@@ -223,29 +261,53 @@ ROUTES: dict[str, Callable[[Instance, int | None], Schedule]] = {
 }
 TOTAL_ROUTES = frozenset({"eucli", "ub1"})
 
+# Per ROUTES entry, in the same order, the route's count where its
+# preconditions hold; ub1's is 0, which route_counts raises to the floor.
+ROUTE_COUNTS: dict[str, Callable[[Instance], int]] = {
+    "trivial": bounds.lb1,
+    "sigma1": sigma1_dinner_count,
+    "prime": lambda inst: inst.c * math.isqrt(inst.s),
+    "howell": lambda inst: bounds.sigma2_base_dinners(inst.customer_groups, inst.s),
+    "caspar": cas_par_dinner_count,
+    "eucli": eucli_dinner_count,
+    "ub1": lambda inst: 0,
+}
+
+
+def route_counts(inst: Instance) -> dict[str, int]:
+    """ROUTE_COUNTS at inst, each raised to bounds.optimum_floor, which no
+    schedule beats."""
+    floor = bounds.optimum_floor(inst)
+    return {name: max(floor, count(inst)) for name, count in ROUTE_COUNTS.items()}
+
 
 def best_feasible(
     inst: Instance, node_budget: int | None = DEFAULT_NODE_BUDGET
 ) -> tuple[Schedule, int]:
     """Fewest-dinner schedule over ROUTES and its dinner count.
 
-    Ties go to the earlier route, and the walk stops once the kept schedule
-    reaches bounds.optimum_floor, which no schedule beats.  A special case
-    whose preconditions fail or whose Howell search runs out is skipped; an
-    error from a total route is a fault and propagates.
+    Ties go to the earlier route in ROUTES.  The routes are built in
+    (route_counts, ROUTES order) order, and the walk stops at the first one
+    whose count cannot beat the kept schedule or can only tie it from a
+    later route: no route builds fewer dinners than its count, so the result
+    is the one building every route would give.  A special case whose
+    preconditions fail or whose Howell search runs out is skipped; an error
+    from a total route is a fault and propagates, but only where that route
+    is built.
     """
-    floor = bounds.optimum_floor(inst)
     best: Schedule | None = None
-    for name, build in ROUTES.items():
+    best_key = (math.inf, len(ROUTES))  # best's dinner count and rank in ROUTES
+    walk = sorted((count, rank, name) for rank, (name, count) in enumerate(route_counts(inst).items()))
+    for count, rank, name in walk:
+        if (count, rank) > best_key:
+            break
         try:
-            sched = build(inst, node_budget)
+            sched = ROUTES[name](inst, node_budget)
         except (ConstructionError, SearchBudgetExceeded):
             if name in TOTAL_ROUTES:
                 raise
             continue
-        if best is None or sched.dinner_count() < best.dinner_count():
-            best = sched
-            if best.dinner_count() == floor:
-                break
+        if (sched.dinner_count(), rank) < best_key:
+            best, best_key = sched, (sched.dinner_count(), rank)
     assert best is not None
     return best, best.dinner_count()

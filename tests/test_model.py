@@ -206,10 +206,10 @@ def schedules(draw) -> Schedule:
     return Schedule.of(inst, dinners)
 
 
-@given(sched=schedules())
-def test_encode_is_json_dumps_with_indent(sched):
+def json_reference(sched: Schedule) -> str:
+    """The canonical text, written by json.dumps."""
     inst = sched.instance
-    reference = json.dumps({
+    return json.dumps({
         "instance": {"t": inst.t, "s": inst.s, "c": inst.c, "sigma": inst.sigma, "gamma": inst.gamma},
         "dinners": [
             [{"suppliers": sorted(tab.suppliers), "customers": sorted(tab.customers)}
@@ -217,9 +217,36 @@ def test_encode_is_json_dumps_with_indent(sched):
             for dinner in sched.dinners
         ],
     }, indent=2) + "\n"
+
+
+@given(sched=schedules())
+def test_encode_is_json_dumps_with_indent(sched):
     text = encode_schedule(sched)
-    assert text == reference
+    assert text == json_reference(sched)
     assert decode_schedule(text) == sched
+
+
+def test_encode_writes_shared_id_sets_as_json_dumps_does():
+    # build_sigma1 seats every table of a group with the same frozenset object,
+    # which the encoder writes once and reuses.
+    from dinners.constructions import build_sigma1
+
+    sched = build_sigma1(Instance(10, 40, 90, 1, 3))
+    groups = [tab.customers for dinner in sched.dinners for tab in dinner.tables]
+    assert len({id(g) for g in groups}) == 30 < len(groups)
+    assert encode_schedule(sched) == json_reference(sched)
+
+
+def test_encode_writes_equal_but_distinct_id_sets_alike():
+    # Equal sets built apart are distinct objects, and 1 and 9 collide in a
+    # small set's hash table, so the two iterate in different orders.
+    a, b = frozenset([1, 9, 20]), frozenset([20, 9, 1])
+    assert a == b and a is not b and list(a) != list(b)
+    sched = Schedule.of(Instance(2, 20, 20, 3, 3), [
+        Dinner.of([TableSeating(a, frozenset([2])), TableSeating(frozenset([3]), b)]),
+        Dinner.of([TableSeating(b, a)]),
+    ])
+    assert encode_schedule(sched) == json_reference(sched)
 
 
 def dict_validator(sched: Schedule) -> tuple:

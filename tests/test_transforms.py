@@ -8,13 +8,16 @@ import sys
 import time
 from itertools import product
 from pathlib import Path
+from unittest.mock import patch
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import dinners
-from dinners.bounds import compute_bounds, lb_best, ub1, ub2, ub_eucli
+import dinners.howell as howell
+import dinners.transforms as transforms
+from dinners.bounds import compute_bounds, lb_best, optimum_floor, ub1, ub2, ub_eucli
 from dinners.constructions import ConstructionError, build_sigma1, load_example_schedule
 from dinners.howell import SearchBudgetExceeded
 from dinners.model import (
@@ -26,13 +29,16 @@ from dinners.model import (
     validate_schedule,
 )
 from dinners.transforms import (
+    ROUTE_COUNTS,
     ROUTES,
+    TOTAL_ROUTES,
     best_feasible,
     build_eucli,
     build_ub1,
     build_ub2,
     concat_suppliers,
     group_gamma,
+    route_counts,
     split_sigma,
     split_tables,
 )
@@ -346,3 +352,93 @@ def test_best_feasible_mid_scale_is_fast():
     sched, count = best_feasible(Instance(10, 50, 100, 3, 4))
     assert time.perf_counter() - start < 1.0
     assert feasible(sched) and count == sched.dinner_count()
+
+
+# The criterion-9 box and a mid-scale stratum of the plan ladder's sizes.
+BOX_CELLS = st.tuples(st.integers(1, 3), st.integers(1, 5), st.integers(1, 5),
+                      st.integers(1, 3), st.integers(1, 3))
+MID_CELLS = st.tuples(st.integers(1, 10), st.integers(6, 50), st.integers(6, 100),
+                      st.integers(1, 5), st.integers(1, 4))
+EXACT_ROUTES = ("trivial", "sigma1", "prime", "howell", "caspar", "eucli")
+
+
+def test_route_counts_follow_the_routes():
+    assert list(ROUTE_COUNTS) == list(ROUTES)
+    assert set(ROUTES) - set(EXACT_ROUTES) == {"ub1"}
+
+
+@settings(deadline=None)
+@given(cell=st.one_of(BOX_CELLS, MID_CELLS))
+@example(cell=(1, 4, 2, 2, 1))  # prime, p = 2
+@example(cell=(2, 4, 6, 2, 1))  # caspar, s = 4
+@example(cell=(4, 7, 11, 2, 1))  # caspar, s = 7: the paper route
+@example(cell=(1, 11, 2, 2, 1))  # eucli, two supplier blocks and a short one
+def test_route_counts_bound_what_each_route_builds(cell):
+    inst = Instance(*cell)
+    floor = optimum_floor(inst)
+    counts = route_counts(inst)
+    with patch.dict(howell._CACHE, clear=True):
+        for name, build in ROUTES.items():
+            assert counts[name] >= floor, name
+            try:
+                built = build(inst, 10_000).dinner_count()
+            except (ConstructionError, SearchBudgetExceeded):
+                assert name not in TOTAL_ROUTES
+                continue
+            if name in EXACT_ROUTES:
+                assert counts[name] == built, name
+            else:
+                assert counts[name] <= built, name
+
+
+def _every_route_walk(inst, node_budget):
+    """best_feasible as it was before route counts: build every route in
+    ROUTES order, keep the first fewest, stop at the floor."""
+    floor = optimum_floor(inst)
+    best = None
+    for name, build in ROUTES.items():
+        try:
+            sched = build(inst, node_budget)
+        except (ConstructionError, SearchBudgetExceeded):
+            if name in TOTAL_ROUTES:
+                raise
+            continue
+        if best is None or sched.dinner_count() < best.dinner_count():
+            best = sched
+            if best.dinner_count() == floor:
+                break
+    return best
+
+
+@settings(deadline=None)
+@given(cell=st.one_of(BOX_CELLS, MID_CELLS), budget=st.sampled_from([100, 1_000, 10_000]))
+def test_best_feasible_answers_as_building_every_route(cell, budget):
+    inst = Instance(*cell)
+    with patch.dict(howell._CACHE, clear=True):
+        reference = _every_route_walk(inst, budget)
+    with patch.dict(howell._CACHE, clear=True):
+        sched, count = best_feasible(inst, budget)
+    assert count == reference.dinner_count()
+    assert encode_schedule(sched) == encode_schedule(reference)
+
+
+def test_a_route_whose_count_cannot_win_is_not_built(monkeypatch):
+    # sigma = gamma = 3 and s*gamma > c: ub1 builds 60 dinners on its Howell
+    # base, and eucli's count, 116, cannot beat that.
+    inst = Instance(5, 26, 60, 3, 3)
+    assert route_counts(inst)["eucli"] == 116 == build_eucli(inst).dinner_count()
+    calls = []
+    monkeypatch.setattr(transforms, "build_eucli", lambda inst: calls.append(inst) or build_eucli(inst))
+    sched, count = best_feasible(inst, 10_000)
+    assert (count, calls) == (60, [])
+    assert feasible(sched)
+
+
+def test_no_howell_search_runs_once_an_exact_route_meets_the_floor(monkeypatch):
+    # sigma = 1 meets the floor, 40; the ub1 route would search H(10,20).
+    calls = _count_searches(monkeypatch)
+    inst = Instance(1, 20, 5, 1, 3)
+    sched, count = best_feasible(inst, node_budget=1000)
+    assert calls == [] and count == 40 == optimum_floor(inst)
+    build_ub1(inst, 1000)
+    assert calls == [(10, 20)]
