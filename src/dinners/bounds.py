@@ -185,13 +185,14 @@ def ub1(inst: Instance) -> int:
     """Universal upper bound built from the two-supplier base plus splitting:
     ceil(2/sigma) * ceil(min(cg, s)/t) * sigma2_base_dinners(cg, s).
 
-    On one table the two three-dinner shapes take 4 dinners, not 2 * 3: each
-    customer group gets its own pair matching.
+    On one table the two three-dinner shapes take fewer than 2 * 3 dinners:
+    each customer group gets its own pair matching, tables of 2 and s - 2
+    suppliers, and each table is split down to sigma.
     """
-    cg, s, t = inst.customer_groups, inst.s, inst.t
+    cg, s, t, sigma = inst.customer_groups, inst.s, inst.t, inst.sigma
     if t == 1 and (cg, s) in SIGMA2_THREE_DINNER_PAIRS:
-        return ceil_div(2, inst.sigma) * 4
-    return ceil_div(2, inst.sigma) * ceil_div(min(cg, s), t) * sigma2_base_dinners(cg, s)
+        return 2 * (ceil_div(2, sigma) + ceil_div(s - 2, sigma))
+    return ceil_div(2, sigma) * ceil_div(min(cg, s), t) * sigma2_base_dinners(cg, s)
 
 
 def ub1_improved(inst: Instance) -> int | None:

@@ -129,7 +129,7 @@ def _strip_rows(rows, s: int, cols: int) -> list[list[frozenset[int]]]:
     return [[frozenset(x for x in cell or () if x <= s) for cell in row[:cols]] for row in rows]
 
 
-def _howell_rows(cg: int, s: int, node_budget: int | None) -> list[list[frozenset[int]]]:
+def _howell_rows(cg: int, s: int, node_budget: int) -> list[list[frozenset[int]]]:
     """Supplier pairs per (dinner, customer group) seating cg groups with
     suppliers 1..s in max(cg, ceil(s/2)) dinners (3 for the two exceptional
     shapes with cg = 2).  Needs cg <= s and (cg, s) != (2, 2).
@@ -150,9 +150,7 @@ def _howell_rows(cg: int, s: int, node_budget: int | None) -> list[list[frozense
     return _strip_rows(design.cells, s, cg)
 
 
-def build_howell_schedule(
-    inst: Instance, node_budget: int | None = DEFAULT_NODE_BUDGET
-) -> Schedule:
+def build_howell_schedule(inst: Instance, node_budget: int = DEFAULT_NODE_BUDGET) -> Schedule:
     """Two-suppliers-per-table layer: max(cg, ceil(s/2)) dinners (3 for the
     two exceptional shapes with cg = 2).
 
@@ -179,7 +177,7 @@ def build_howell_schedule(
     return sched
 
 
-def _cas_par_paper_route(inst: Instance, node_budget: int | None) -> Schedule:
+def _cas_par_paper_route(inst: Instance, node_budget: int) -> Schedule:
     """Half-table regime via a Howell phase seating the first s-1 (even s) or
     s (odd s) groups, plus a single-supplier phase for the rest."""
     s, t = inst.s, inst.t
@@ -286,7 +284,7 @@ def cas_par_dinner_count(inst: Instance) -> int:
     return s + bounds.ceil_div(s * (cg - s), t)
 
 
-def build_cas_par(inst: Instance, node_budget: int | None = DEFAULT_NODE_BUDGET) -> Schedule:
+def build_cas_par(inst: Instance, node_budget: int = DEFAULT_NODE_BUDGET) -> Schedule:
     """Half-table regime: sigma=2, t=ceil(s/2), cg >= 3s/2.
 
     Even s gives 2*cg - s + 1 dinners; odd s gives s + ceil(s*(cg-s)/t).

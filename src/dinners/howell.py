@@ -115,11 +115,11 @@ class _Search:
     partner/column value ordering only; any seed explores the same space.
     """
 
-    def __init__(self, m: int, n2: int, node_budget: int | None, seed: int | None = None):
+    def __init__(self, m: int, n2: int, node_budget: int, seed: int | None = None):
         self.m = m
         self.n2 = n2
         self.n = n = n2 // 2
-        self.node_cap = node_budget if node_budget is not None else float("inf")
+        self.node_cap = node_budget
         self.nodes = 0
         self.full = (1 << n2) - 1
         self.sym_cols = [(1 << m) - 1] * n2  # columns still missing symbol x
@@ -470,6 +470,30 @@ def _normal_form(m: int, n2: int, cells: list[list[tuple[int, int] | None]]) -> 
     return HowellDesign(m, n2, tuple(tuple(row) for row in grid))
 
 
+def _check_budget(node_budget: int) -> None:
+    if type(node_budget) is not int or node_budget < 1:
+        raise ValueError(f"node_budget must be a positive integer, got {node_budget!r}")
+
+
+def _restarts(search_cls, m: int, n2: int, first_cap: int, node_budget: int) -> tuple[HowellDesign | None, int]:
+    """The design from a deterministic ladder of restarts (None once a search
+    exhausts its space) and the nodes spent; SearchBudgetExceeded once the
+    ladder has spent node_budget.  Attempt 0 is unseeded and attempt i takes
+    seed i - 1, under a cap of first_cap, times 4 after every 64 attempts,
+    cut to the budget left.  How far past its cap a search runs is its own.
+    """
+    total = attempt = 0
+    while total < node_budget:
+        cap = min(first_cap * 4 ** (attempt // 64), node_budget - total)
+        search = search_cls(m, n2, cap, None if attempt == 0 else attempt - 1)
+        try:
+            return search.run(), total + search.nodes
+        except SearchBudgetExceeded:
+            total += search.nodes
+            attempt += 1
+    raise SearchBudgetExceeded(f"H({m},{n2}) search exceeded {node_budget} nodes")
+
+
 def starter_howell(m: int, n2: int, node_budget: int) -> tuple[HowellDesign | None, int]:
     """An H(m, 2n) from a cyclic starter-adder over Z_m, and the nodes spent.
 
@@ -482,58 +506,33 @@ def starter_howell(m: int, n2: int, node_budget: int) -> tuple[HowellDesign | No
     (latin_howell).  For odd m = n + 1 the n adders miss one element b of
     Z_m and sum to -b, so the one finite pair's adder would be b.
 
-    Restarts run the same seeded ladder as search_howell, from 2,000-node
-    attempts.  Requires n <= m <= 2n - 1.
+    Restarts run the _restarts ladder from 2,000-node attempts, each cut at
+    its cap.  Requires n <= m <= 2n - 1.
     """
     n = n2 // 2
     if m == n or m == n + 1 and m % 2:
         return None, 0
-    total = 0
-    seeds_per_round = 64
-    attempt = 0
-    while total < node_budget:
-        cap = min(2_000 * 4 ** (attempt // seeds_per_round), node_budget - total)
-        starter = _Starter(m, n2, cap, None if attempt == 0 else attempt - 1)
-        try:
-            return starter.run(), total + starter.nodes
-        except SearchBudgetExceeded:
-            total += starter.nodes
-            attempt += 1
-    return None, total
+    try:
+        return _restarts(_Starter, m, n2, 2_000, node_budget)
+    except SearchBudgetExceeded:
+        return None, node_budget  # a starter attempt stops at its cap, so the budget is spent
 
 
-def search_howell(m: int, n2: int, node_budget: int | None = None) -> HowellDesign | None:
+def search_howell(m: int, n2: int, node_budget: int = DEFAULT_NODE_BUDGET) -> HowellDesign | None:
     """Backtracking search, without consulting the existence theorem.
 
-    Runs a deterministic ladder of restarts: each attempt explores the same
-    symmetry-reduced space under a different (seeded) value ordering with an
-    escalating per-attempt node cap.  An attempt that exhausts the space
-    without hitting its cap proves nonexistence, so None means none exists.
-    Raises SearchBudgetExceeded once total nodes pass node_budget.
-
-    Requires n <= m so the canonical first row fits.
+    Runs the _restarts ladder from 8,000-node attempts, each cut one node
+    past its cap.  Every attempt explores the same symmetry-reduced space, so
+    one that exhausts it proves nonexistence: None means none exists.  Raises
+    SearchBudgetExceeded once node_budget is spent, and ValueError unless it
+    is a positive integer.  Requires n <= m so the canonical first row fits.
     """
+    _check_budget(node_budget)
     if n2 < 2 or n2 % 2:
         raise ValueError("symbol count must be a positive even integer")
     if m < n2 // 2:
         raise ValueError("m must be at least n for the search")
-    total = 0
-    seeds_per_round = 64
-    attempt = 0
-    while True:
-        cap = 8_000 * 4 ** (attempt // seeds_per_round)
-        if node_budget is not None:
-            cap = min(cap, node_budget - total)
-            if cap <= 0:
-                raise SearchBudgetExceeded(f"H({m},{n2}) search exceeded {node_budget} nodes")
-        seed = None if attempt == 0 else attempt - 1
-        search = _Search(m, n2, cap, seed)
-        try:
-            design = search.run()
-            return design  # found, or space exhausted => proven nonexistent
-        except SearchBudgetExceeded:
-            total += search.nodes
-            attempt += 1
+    return _restarts(_Search, m, n2, 8_000, node_budget)[0]
 
 
 # H(6, 12): n = 6 = 2 mod 4 has no closed form here, and m = n no starter.
@@ -548,11 +547,11 @@ STORED = {(6, 12): HowellDesign(6, 12, (
     ((4, 10), (9, 11), (3, 12), (2, 6), (5, 8), (1, 7)),
 ))}
 
-# Per (m, 2n): the design, or the largest node budget a search has run out of.
-_CACHE: dict[tuple[int, int], HowellDesign | int] = {}
+# Per (m, 2n, node budget): the design, or None where the budget ran out.
+_CACHE: dict[tuple[int, int, int], HowellDesign | None] = {}
 
 
-def generate_howell(m: int, n2: int, node_budget: int | None = DEFAULT_NODE_BUDGET) -> HowellDesign | None:
+def generate_howell(m: int, n2: int, node_budget: int = DEFAULT_NODE_BUDGET) -> HowellDesign | None:
     """Return an H(m, 2n), or None when no such design exists.
 
     Existence is decided by the characterization theorem.  An H(n, 2n) with
@@ -560,35 +559,36 @@ def generate_howell(m: int, n2: int, node_budget: int | None = DEFAULT_NODE_BUDG
     H(6, 12) is STORED.  Any other design comes from the cyclic starter-adder
     search (starter_howell), given at most half the node budget, or else
     from the cell search (search_howell), given the rest; SearchBudgetExceeded
-    is raised when both run out.  A budget of None gives the starter half
-    the default budget and the cell search no limit.  Results are cached per
-    (m, 2n), failures too: both searches are deterministic, so a budget no
-    larger than one that already ran out raises at once, and only a larger
-    one searches again.
+    is raised when both run out.  ValueError is raised unless node_budget is
+    a positive integer.  Results are cached per (m, 2n, node_budget), budget
+    cuts too: both searches are deterministic, so the answer depends on that
+    key alone, and a cut raises again at once at the same budget.
     """
+    _check_budget(node_budget)
     if not howell_exists(m, n2):
         return None
-    key = (m, n2)
-    if key in STORED:
-        return STORED[key]
-    known = _CACHE.get(key)
-    if isinstance(known, HowellDesign):
-        return known
-    design = latin_howell(m) if 2 * m == n2 else None
-    if design is not None:
-        _CACHE[key] = design
-        return design
-    if known is not None and node_budget is not None and node_budget <= known:
-        raise SearchBudgetExceeded(f"H({m},{n2}) search already exceeded {known} nodes")
-    budget = DEFAULT_NODE_BUDGET if node_budget is None else node_budget
-    design, spent = starter_howell(m, n2, budget // 2)
+    if (m, n2) in STORED:
+        return STORED[m, n2]
+    key = (m, n2, node_budget)
+    if key not in _CACHE:
+        _CACHE[key] = _build(m, n2, node_budget)
+    design = _CACHE[key]
     if design is None:
-        try:
-            design = search_howell(m, n2, None if node_budget is None else node_budget - spent)
-        except SearchBudgetExceeded:
-            _CACHE[key] = node_budget
-            raise
-        if design is None:
-            raise AssertionError(f"H{key} must exist but the search found none")
-    _CACHE[key] = design
+        raise SearchBudgetExceeded(f"H({m},{n2}) search exceeded {node_budget} nodes")
+    return design
+
+
+def _build(m: int, n2: int, node_budget: int) -> HowellDesign | None:
+    """generate_howell's build of an existing H(m, 2n); None on a budget cut."""
+    if 2 * m == n2 and (design := latin_howell(m)) is not None:
+        return design
+    design, spent = starter_howell(m, n2, node_budget // 2)
+    if design is not None:
+        return design
+    try:
+        design = search_howell(m, n2, node_budget - spent)
+    except SearchBudgetExceeded:
+        return None
+    if design is None:
+        raise AssertionError(f"H({m},{n2}) must exist but the search found none")
     return design

@@ -18,10 +18,9 @@ node_budget, so it holds no more tables than one level may stack; its Howell
 searches are not bounded that way, and the build does not read the clock
 (hence no incumbent under a time budget).  If it has u <= ub_best dinners, it
 is the first witness and the cap is u - 1, so only levels below u are
-searched; with none there it is returned at 0 nodes.  Howell designs found
-earlier in the process are reused at any budget (generate_howell), so the
-answer may be better than a fresh process's.  An explicit max_dinners, or
-prune=False, caps the levels at max_dinners or ub_best, without incumbent.
+searched; with none there it is returned at 0 nodes.  An explicit
+max_dinners, or prune=False, caps the levels at max_dinners or ub_best,
+without incumbent.
 
 Symmetry reduction: tables of a dinner are listed in strictly increasing
 canonical key order; the very first table is a prefix block {1..a} x {1..b}

@@ -148,7 +148,7 @@ def concat_suppliers(first: Schedule, second: Schedule) -> Schedule:
 _PAIR_MATCHINGS = ([{1, 2}, ()], [{3, 4}, ()], [(), {1, 3}], [(), {2, 4}])
 
 
-def build_ub1(inst: Instance, node_budget: int | None = DEFAULT_NODE_BUDGET) -> Schedule:
+def build_ub1(inst: Instance, node_budget: int = DEFAULT_NODE_BUDGET) -> Schedule:
     """Witness pipeline for ub1: two-supplier base on min(cg, s) tables, then
     supplier-cap and table splitting down to the real instance.
 
@@ -244,13 +244,13 @@ def eucli_dinner_count(inst: Instance) -> int:
 
 
 # Each route is build(inst, node_budget); best_feasible breaks ties between
-# equal dinner counts in this order.  A special case raises ConstructionError when the instance fails its
-# preconditions; TOTAL_ROUTES build every instance.  Entries look builders up
-# by module-level name at call time, so replacing a module attribute (to trace
-# or stub it) reaches them.  build_ub2 is no route of its own: where it
-# applies, ceil(s/sigma) <= cg, build_eucli has a single block and returns
-# build_ub2(inst).
-ROUTES: dict[str, Callable[[Instance, int | None], Schedule]] = {
+# equal dinner counts in this order.  A special case raises ConstructionError
+# when the instance fails its preconditions; TOTAL_ROUTES build every
+# instance.  Entries look builders up by module-level name at call time, so
+# replacing a module attribute (to trace or stub it) reaches them.  build_ub2
+# is no route of its own: where it applies, ceil(s/sigma) <= cg, build_eucli
+# has a single block and returns build_ub2(inst).
+ROUTES: dict[str, Callable[[Instance, int], Schedule]] = {
     "trivial": lambda inst, b: build_trivial(inst),
     "sigma1": lambda inst, b: build_sigma1(inst),
     "prime": lambda inst, b: build_prime(inst),
@@ -281,9 +281,7 @@ def route_counts(inst: Instance) -> dict[str, int]:
     return {name: max(floor, count(inst)) for name, count in ROUTE_COUNTS.items()}
 
 
-def best_feasible(
-    inst: Instance, node_budget: int | None = DEFAULT_NODE_BUDGET
-) -> tuple[Schedule, int]:
+def best_feasible(inst: Instance, node_budget: int = DEFAULT_NODE_BUDGET) -> tuple[Schedule, int]:
     """Fewest-dinner schedule over ROUTES and its dinner count.
 
     Ties go to the earlier route in ROUTES.  The routes are built in

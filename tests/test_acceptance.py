@@ -11,7 +11,6 @@ import time
 from fractions import Fraction
 from itertools import product
 
-from dinners import howell
 from dinners.bounds import (
     compute_bounds,
     lb4,
@@ -187,7 +186,7 @@ def test_criterion_08_half_table_even_case():
           f"the pairing bound at j=2 ({time.time()-t0:.2f}s)")
 
 
-def test_criterion_09_oracle_sweep(monkeypatch):
+def test_criterion_09_oracle_sweep():
     t0 = time.time()
     unresolved = []
     total = 0
@@ -201,8 +200,6 @@ def test_criterion_09_oracle_sweep(monkeypatch):
         assert validate_schedule(witness).feasible, inst
         floor = optimum_floor(inst)
         at_floor += count == floor
-        # An empty Howell cache, as in a fresh `dinners solve --budget 400000`.
-        monkeypatch.setattr(howell, "_CACHE", {})
         res = solve_exact(inst, SolveLimits(node_budget=400_000))
         if res.status != OPTIMAL:
             unresolved.append(((t, s, c, sg, gm), res.status, res.lower_bound, res.value))

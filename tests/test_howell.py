@@ -106,9 +106,16 @@ def test_failed_search_is_cached_per_budget(monkeypatch):
     for budget in (200, 100, 200, 400):
         with pytest.raises(SearchBudgetExceeded):
             generate_howell(6, 8, budget)
-    assert calls == [200 - spent, 400 - spent]  # budgets no larger than a failed one raise at once
-    design = generate_howell(6, 8, None)
-    assert validate_howell(design) == [] and generate_howell(6, 8, 1) is design
+    assert calls == [200 - spent, 100 - spent, 400 - spent]  # a cut budget raises at once when asked again
+    calls.clear()
+    # The cell search finds H(6,8) after 1,166 nodes.  A found design comes
+    # back at once only at its own budget: any other budget searches.
+    design = generate_howell(6, 8, 2_000)
+    assert validate_howell(design) == [] and generate_howell(6, 8, 2_000) is design
+    with pytest.raises(SearchBudgetExceeded):
+        generate_howell(6, 8, 1_000)
+    assert generate_howell(6, 8, 20_000) == design
+    assert calls == [2_000 - spent, 1_000 - spent, 20_000 - spent]
     calls.clear()
     with pytest.raises(SearchBudgetExceeded):
         generate_howell(14, 16, 1_001)  # the starter runs out of its half
@@ -185,10 +192,21 @@ def test_stored_h6_12_is_the_searched_design(monkeypatch):
 
 
 @pytest.mark.parametrize("budget", [2_000, 10_000])
-def test_small_searched_shapes_are_found_at_small_budgets(monkeypatch, budget):
+def test_small_searched_shapes_are_found_at_small_budgets(budget):
     for m, n2 in [(4, 6), (6, 8)]:
-        monkeypatch.setattr(howell, "_CACHE", {})
         assert validate_howell(generate_howell(m, n2, budget)) == []
+
+
+@pytest.mark.parametrize("bad", [None, True, 0, -5, 2_000.0, "2000"])
+def test_budget_must_be_a_positive_int(bad):
+    for m, n2 in [(3, 6), (6, 8)]:  # a closed form and a searched shape
+        with pytest.raises(ValueError, match="node_budget must be a positive integer"):
+            generate_howell(m, n2, bad)
+    with pytest.raises(ValueError, match="node_budget must be a positive integer"):
+        search_howell(6, 8, bad)
+    # Not a TypeError from halving the budget for the starter.
+    with pytest.raises(ValueError, match="node_budget must be a positive integer"):
+        best_feasible(Instance(5, 10, 8, 2, 1), bad)
 
 
 # (m, 2n, node budget, outcome, nodes of each restart, digest of every

@@ -4,9 +4,10 @@ import hashlib
 import random
 import time
 from itertools import product
+from unittest.mock import patch
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dinners import howell, solver
@@ -241,28 +242,31 @@ def test_construction_is_built_only_when_ub_best_tables_fit_the_budget(budget):
         assert (default.status, default.value, default.lower_bound) == (FEASIBLE_ONLY, 18, 14)
 
 
-def test_default_cap_on_the_box_does_not_depend_on_cached_designs(monkeypatch):
-    # On the criterion-9 box, a 2,000-node call gives the same answer from an
-    # empty Howell cache as after a default-budget build of the same cell.
-    def outcome(res):
-        return res.status, res.value, res.nodes, res.lower_bound, res.witness
+@settings(deadline=None, max_examples=60)
+@given(cell=st.one_of(st.tuples(st.integers(1, 3), st.integers(1, 5), st.integers(1, 5),
+                                st.integers(1, 3), st.integers(1, 3)),
+                      st.sampled_from([(5, 10, 8, 2, 1), (6, 12, 7, 2, 1)])),
+       earlier=st.lists(st.sampled_from([100, 2_000, 10_001, 1_000_000]), max_size=3))
+@example(cell=(5, 10, 8, 2, 1), earlier=[1_000_000])  # H(8,10) is found at 1M, cut at 10k
+@example(cell=(6, 12, 7, 2, 1), earlier=[1_000_000])  # H(7,12) likewise
+def test_answers_do_not_depend_on_earlier_calls(cell, earlier):
+    # The criterion-9 box and two cells whose Howell design a 10k-node
+    # budget does not reach: best_feasible at 10k nodes and solve_exact at
+    # 2,000 give the same answers from an empty Howell cache as after
+    # calls at other budgets.
+    inst = Instance(*cell)
 
-    for cell in product(range(1, 4), range(1, 6), range(1, 6), range(1, 4), range(1, 4)):
-        inst = Instance(*cell)
-        monkeypatch.setattr(howell, "_CACHE", {})
-        cold = solve_exact(inst, SolveLimits(node_budget=2_000))
-        best_feasible(inst)
-        assert outcome(solve_exact(inst, SolveLimits(node_budget=2_000))) == outcome(cold), cell
-    # Outside it, (1, 8, 7, 2, 1) needs an H(7, 8): the starter builds it cold
-    # within the 2,000-node budget, so the optimum comes from the
-    # construction, unsearched, with or without the design cached.
-    inst = Instance(1, 8, 7, 2, 1)
-    monkeypatch.setattr(howell, "_CACHE", {})
-    cold = solve_exact(inst, SolveLimits(node_budget=2_000))
-    best_feasible(inst)
-    warm = solve_exact(inst, SolveLimits(node_budget=2_000))
-    assert (cold.status, cold.value, cold.nodes) == (OPTIMAL, 28, 0)
-    assert outcome(warm) == outcome(cold)
+    def answers():
+        sched, _ = best_feasible(inst, 10_000)
+        return encode_schedule(sched), solve_exact(inst, SolveLimits(node_budget=2_000))
+
+    with patch.dict(howell._CACHE, clear=True):
+        cold = answers()
+        for budget in earlier:
+            best_feasible(inst, budget)
+            if budget <= 10_001:  # 1M nodes a level would take minutes
+                solve_exact(inst, SolveLimits(node_budget=budget))
+        assert answers() == cold
 
 
 @settings(deadline=None)
