@@ -3,9 +3,10 @@
 A proper edge coloring never repeats a color at a vertex; an equitable one
 has every color class of size floor(|E|/k) or ceil(|E|/k).  The schedule
 builders use the color classes as dinners, so class size caps translate into
-table caps.  Every graph they color is all of K_{a,b} (the half-table
-leftovers are made complete by merging groups first, see constructions), so
-one closed form is the only coloring path.
+table caps.  Every graph they color is all of K_{a,b}, suppliers on the left
+(the half-table leftovers are made complete by merging runs of groups into
+one vertex first, see constructions), so one closed form is the only
+coloring path.
 """
 
 from __future__ import annotations

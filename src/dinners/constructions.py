@@ -6,10 +6,11 @@ layer backed by Howell designs and four embedded exceptional templates, the
 half-table regime (t = ceil(s/2) with many customer groups), and the prime
 square construction for one table and one customer per table.
 
-Every edge coloring here is of a complete bipartite graph.  Where the
-single-supplier visits still owed are not complete (the half-table regime
-for s = 3, 4), groups whose owed suppliers are disjoint and together cover
-every supplier are merged into one left vertex first (_complete_singles).
+Every edge coloring here is of a complete bipartite graph.  In the
+half-table regime the first dinners seat every supplier pair once, and the
+single-supplier visits the groups still owe are not complete; runs of groups
+whose owed suppliers are disjoint and together cover every supplier are
+merged into one right vertex first (_complete_singles).
 """
 
 from __future__ import annotations
@@ -84,6 +85,24 @@ def build_trivial(inst: Instance) -> Schedule:
     return Schedule.of(inst, dinners)
 
 
+def _complete_singles(
+    owners: list[dict[int, frozenset[int]]], s: int, k: int
+) -> list[list[TableSeating]]:
+    """Single-supplier tables for right vertices that each still meet all of 1..s.
+
+    owners[j][x] is the customer group that meets supplier x through vertex j.
+    One vertex may merge several groups whose owed suppliers are disjoint and
+    together cover 1..s.  Coloring K_{s,len(owners)} with k classes, suppliers
+    on the left, and sending each edge (x, j) to owners[j][x] keeps the
+    coloring proper (a color appears once at the merged vertex, so at most
+    one of its groups, once) and keeps the class sizes.
+    """
+    return [
+        [TableSeating(frozenset({x}), owners[j - 1][x]) for x, j in cls]
+        for cls in equitable_bipartite_coloring(s, len(owners), k)
+    ]
+
+
 def singleton_dinners(
     s: int, grouping_slice: Sequence[frozenset[int]], tables: int, k: int
 ) -> list[Dinner]:
@@ -93,19 +112,10 @@ def singleton_dinners(
     the groups with k classes; equitability keeps every class within the
     table count.
     """
-    classes = equitable_bipartite_coloring(s, len(grouping_slice), k)
-    assert max(len(cls) for cls in classes) <= tables
-    dinners = []
-    for cls in classes:
-        if not cls:
-            continue
-        dinners.append(
-            Dinner.of(
-                TableSeating(frozenset({i}), grouping_slice[j - 1])
-                for i, j in cls
-            )
-        )
-    return dinners
+    owners = [dict.fromkeys(range(1, s + 1), group) for group in grouping_slice]
+    classes = _complete_singles(owners, s, k)
+    assert max(map(len, classes)) <= tables
+    return [Dinner.of(cls) for cls in classes if cls]
 
 
 def sigma1_dinner_count(inst: Instance) -> int:
@@ -177,103 +187,30 @@ def build_howell_schedule(inst: Instance, node_budget: int = DEFAULT_NODE_BUDGET
     return sched
 
 
-def _cas_par_paper_route(inst: Instance, node_budget: int) -> Schedule:
-    """Half-table regime via a Howell phase seating the first s-1 (even s) or
-    s (odd s) groups, plus a single-supplier phase for the rest."""
-    s, t = inst.s, inst.t
-    groups = list(group_customers(inst.c, inst.gamma))
-    lead = s - 1 + s % 2
-    dinners = _grid_dinners(_howell_rows(lead, s, node_budget), groups)
-    rest = groups[lead:]
-    k2 = max(s, len(rest), bounds.ceil_div(s * len(rest), t))
-    dinners.extend(singleton_dinners(s, rest, t, k2))
-    return Schedule.of(inst, dinners)
+# First dinners of the half-table regime for s = 3..6, whose Howell rows would
+# need an H(3,4) or H(5,6): one string per dinner, one word per customer group
+# naming the suppliers at its table ("-" for none).  Each row seats at most
+# ceil(s/2) tables, every supplier pair sits together once, a column seats
+# each supplier at most once, and the suppliers the columns still owe close
+# on 1..s run by run.
+_HALF_TABLE_GRIDS = {
+    3: ("1 23 - -", "2 - 13 -", "3 - - 12"),
+    4: ("14 23 - - - -", "- - 24 13 - -", "- - - - 34 12"),
+    5: ("1 - 25 - - 34 -", "2 - 13 - - - 45", "3 - - 24 - 15 -", "4 - - 35 - - 12",
+        "5 14 - - 23 - -"),
+    6: ("16 25 34 - - -", "45 13 26 - - -", "- - 15 36 24 -", "- 46 - - 35 12",
+        "23 - - 14 - 56"),
+}
 
 
-def _complete_singles(
-    owners: list[dict[int, frozenset[int]]], s: int, k: int
-) -> list[list[TableSeating]]:
-    """Single-supplier tables for left vertices that each still meet all of 1..s.
-
-    owners[i][x] is the customer group that meets supplier x through vertex i.
-    One vertex may merge several groups whose owed suppliers are disjoint and
-    together cover 1..s.  Coloring K_{len(owners),s} with k classes and
-    sending each edge (i, x) to owners[i][x] keeps the coloring proper (a
-    color appears once at the merged vertex, so at most one of its groups,
-    once) and keeps the class sizes.
-    """
-    return [
-        [TableSeating(frozenset({x}), owners[i - 1][x]) for i, x in cls]
-        for cls in equitable_bipartite_coloring(len(owners), s, k)
-    ]
-
-
-def _cas_par_s3(inst: Instance) -> Schedule:
-    """Interleaved schedule for s=3, t=2 and q = cg - 3 >= 2 further groups.
-
-    Three dinners seat each supplier pair beside one companion single.  The
-    singles still owed are g0 {3}, g1 {2}, g2 {1}, hs0 {2}, hs1 {1,3} and
-    all of every later group.  g0..g2 are disjoint and cover {1,2,3}, and so
-    are hs0 and hs1, so each set merges into one complete left vertex:
-    K_{q,3}, colored in ceil(3q/2) classes of at most 2 = t tables.
-    """
-    groups = list(group_customers(inst.c, inst.gamma))
-    g, hs = groups[:3], groups[3:]
-    dinners = [
-        Dinner.of([TableSeating(frozenset({1, 2}), g[0]), TableSeating(frozenset({3}), hs[0])]),
-        Dinner.of([TableSeating(frozenset({1, 3}), g[1]), TableSeating(frozenset({2}), hs[1])]),
-        Dinner.of([TableSeating(frozenset({2, 3}), g[2]), TableSeating(frozenset({1}), hs[0])]),
-    ]
-    owners = [{3: g[0], 2: g[1], 1: g[2]}, {2: hs[0], 1: hs[1], 3: hs[1]}]
-    owners += [dict.fromkeys((1, 2, 3), h) for h in hs[2:]]
-    k = bounds.ceil_div(3 * len(hs), 2)
-    dinners.extend(Dinner.of(tables) for tables in _complete_singles(owners, 3, k))
-    return Schedule.of(inst, dinners)
-
-
-def _cas_par_s4(inst: Instance) -> Schedule:
-    """Interleaved schedule for s=4, t=2 and q = cg - 3 >= 3 further groups.
-
-    Each supplier pair gets its own dinner beside one companion single.  The
-    singles still owed are hs0 {2,4}, hs1 {3,4}, hs2 {1,2} and all of every
-    later group.  hs1 and hs2 merge into one complete left vertex, so with
-    hs[3:] they form K_{q-2,4}, colored in 2(q-2) classes of exactly two
-    singles.  hs0's two singles then split the first class {a, b} into two
-    dinners, each beside a supplier that table does not seat: 2q-3 dinners
-    of leftovers.  q = 3 has no complete group and takes three fixed dinners.
-    """
-    groups = list(group_customers(inst.c, inst.gamma))
-    g, hs = groups[:3], groups[3:]
-    pair_plan = [
-        ({1, 2}, 0, 0, 3),
-        ({3, 4}, 0, 0, 1),
-        ({1, 3}, 1, 1, 2),
-        ({2, 4}, 1, 1, 1),
-        ({1, 4}, 2, 2, 3),
-        ({2, 3}, 2, 2, 4),
-    ]
-    dinners = [
-        Dinner.of([TableSeating(frozenset(pair), g[gi]), TableSeating(frozenset({sup}), hs[hi])])
-        for pair, gi, hi, sup in pair_plan
-    ]
-
-    def single(x: int, group: frozenset[int]) -> TableSeating:
-        return TableSeating(frozenset({x}), group)
-
-    if len(hs) == 3:
-        rows = [
-            [single(2, hs[0]), single(3, hs[1])],
-            [single(4, hs[0]), single(1, hs[2])],
-            [single(4, hs[1]), single(2, hs[2])],
-        ]
-    else:
-        owners = [{3: hs[1], 4: hs[1], 1: hs[2], 2: hs[2]}]
-        owners += [dict.fromkeys((1, 2, 3, 4), h) for h in hs[3:]]
-        (a, b), *rest = _complete_singles(owners, 4, 2 * (len(hs) - 2))
-        x, y = (4, 2) if 2 in a.suppliers or 4 in b.suppliers else (2, 4)
-        rows = [[a, single(x, hs[0])], [b, single(y, hs[0])], *rest]
-    dinners.extend(Dinner.of(tables) for tables in rows)
-    return Schedule.of(inst, dinners)
+def _half_table_rows(s: int, node_budget: int) -> list[list[frozenset[int]]]:
+    """Supplier sets per (dinner, customer group) seating every pair of 1..s
+    once: a stored grid for s = 3..6, else the Howell rows of the first
+    s - 1 (even s) or s (odd s) groups, which owe no supplier."""
+    if s in _HALF_TABLE_GRIDS:
+        grid = _HALF_TABLE_GRIDS[s]
+        return [[frozenset(map(int, cell.strip("-"))) for cell in row.split()] for row in grid]
+    return _howell_rows(s - 1 + s % 2, s, node_budget)
 
 
 def cas_par_dinner_count(inst: Instance) -> int:
@@ -288,27 +225,39 @@ def build_cas_par(inst: Instance, node_budget: int = DEFAULT_NODE_BUDGET) -> Sch
     """Half-table regime: sigma=2, t=ceil(s/2), cg >= 3s/2.
 
     Even s gives 2*cg - s + 1 dinners; odd s gives s + ceil(s*(cg-s)/t).
-    Supplier counts 5 and 6 are rejected: the natural two-phase decomposition
-    would need an H(5,6), which does not exist, and no replacement scheme
-    with a matching dinner count is established here.
+    The first dinners seat every supplier pair once (_half_table_rows).  Each
+    of their columns still owes the suppliers it does not seat; column by
+    column these close on 1..s in runs, and each run merges into one complete
+    vertex.  With every later group as one more, one coloring with
+    k = max(s, v, ceil(s*v/t)) classes seats the v vertices' single-supplier
+    tables.
     """
-    cg, s = inst.customer_groups, inst.s
+    cg, s, t = inst.customer_groups, inst.s, inst.t
     if inst.sigma != 2:
         raise ConstructionError("build_cas_par needs sigma == 2")
     if s < 2:
         raise ConstructionError("build_cas_par needs s >= 2")
-    if inst.t != bounds.ceil_div(s, 2):
+    if t != bounds.ceil_div(s, 2):
         raise ConstructionError("build_cas_par needs t == ceil(s/2)")
     if 2 * cg < 3 * s:
         raise ConstructionError("build_cas_par needs ceil(c/gamma) >= 3s/2")
-    if s in (5, 6):
-        raise ConstructionError("supplier counts 5 and 6 are not covered by this construction")
-    if s == 3:
-        sched = _cas_par_s3(inst)
-    elif s == 4:
-        sched = _cas_par_s4(inst)
-    else:
-        sched = _cas_par_paper_route(inst, node_budget)
+    groups = group_customers(inst.c, inst.gamma)
+    rows = _half_table_rows(s, node_budget)
+    width = len(rows[0])
+    owners: list[dict[int, frozenset[int]]] = []
+    run: dict[int, frozenset[int]] = {}
+    for j in range(width):
+        owed = set(range(1, s + 1)).difference(*(row[j] for row in rows))
+        run.update(dict.fromkeys(owed, groups[j]))
+        if len(run) == s:
+            owners.append(run)
+            run = {}
+    assert not run, f"suppliers {sorted(run)} are still owed after the last run"
+    owners += [dict.fromkeys(range(1, s + 1), group) for group in groups[width:]]
+    k = max(s, len(owners), bounds.ceil_div(s * len(owners), t))
+    dinners = _grid_dinners(rows, groups)
+    dinners.extend(Dinner.of(tables) for tables in _complete_singles(owners, s, k))
+    sched = Schedule.of(inst, dinners)
     assert sched.dinner_count() == cas_par_dinner_count(inst)
     return sched
 

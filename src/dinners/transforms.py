@@ -37,7 +37,7 @@ from .constructions import (
     sigma1_dinner_count,
     singleton_dinners,
 )
-from .howell import DEFAULT_NODE_BUDGET, SearchBudgetExceeded
+from .howell import DEFAULT_NODE_BUDGET, SearchBudgetExceeded, _check_budget
 from .model import (
     Dinner,
     Instance,
@@ -291,8 +291,10 @@ def best_feasible(inst: Instance, node_budget: int = DEFAULT_NODE_BUDGET) -> tup
     is the one building every route would give.  A special case whose
     preconditions fail or whose Howell search runs out is skipped; an error
     from a total route is a fault and propagates, but only where that route
-    is built.
+    is built.  node_budget must be a positive int, as generate_howell
+    requires, whether or not a Howell route is built.
     """
+    _check_budget(node_budget)
     best: Schedule | None = None
     best_key = (math.inf, len(ROUTES))  # best's dinner count and rank in ROUTES
     walk = sorted((count, rank, name) for rank, (name, count) in enumerate(route_counts(inst).items()))

@@ -307,6 +307,14 @@ def test_build_explicit_route_is_optimal_only_at_the_floor(capsys):
     assert "dinners=1 optimal=yes" in out
 
 
+@pytest.mark.parametrize("strategy", ["caspar", "auto"])
+def test_build_half_table_with_five_suppliers_is_optimal(capsys, strategy):
+    # s = 5, t = 3: the stored grid stands in for the missing H(5,6).
+    code, out, _ = run(capsys, "build", "3", "5", "15", "2", "1", "--strategy", strategy, "--out", "-")
+    assert code == 0
+    assert out.splitlines()[-1] == "dinners=22 optimal=yes"
+
+
 @pytest.mark.parametrize("strategy, printed", [
     ("auto", "dinners=3 optimal=yes"),
     ("ub1", "dinners=3 optimal=yes"),

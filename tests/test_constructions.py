@@ -1,6 +1,6 @@
 """Schedule builders: feasibility and exact dinner counts per closed form."""
 
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 
 import pytest
 
@@ -156,39 +156,61 @@ def test_cas_par_odd_three_suppliers():
         assert sched.dinner_count() == cas_par_dinner_count(inst)
 
 
-def test_cas_par_three_and_four_suppliers_sweep():
-    # The leftover singles are colored on merged complete groups; every size
-    # from the smallest (q = 2 for s = 3, the fixed q = 3 for s = 4) up,
-    # with full and ragged last customer groups.
+def test_cas_par_sweep():
+    # Every stored grid (s = 3..6) from its smallest cg up, and a Howell-row
+    # stretch for s = 7..14, with full and ragged last customer groups.
+    cells = [(s, cg) for s in range(3, 7) for cg in range(ceil_div(3 * s, 2), 81)]
+    cells += [(s, cg) for s in range(7, 15) for cg in range(ceil_div(3 * s, 2), 3 * s + 6, 3)]
     checked = 0
-    for s, t, lo in ((3, 2, 5), (4, 2, 6)):
+    for s, cg in cells:
         for gamma in (1, 2, 3):
-            for cg in range(lo, 81):
-                for c in {gamma * cg, gamma * (cg - 1) + 1}:
-                    inst = Instance(t, s, c, 2, gamma)
-                    sched = build_cas_par(inst)
-                    assert feasible(sched), inst
-                    assert sched.dinner_count() == cas_par_dinner_count(inst), inst
-                    checked += 1
-    assert checked == 5 * (76 + 75)  # one c for gamma = 1, two otherwise
+            for c in {gamma * cg, gamma * (cg - 1) + 1}:
+                inst = Instance(ceil_div(s, 2), s, c, 2, gamma)
+                sched = build_cas_par(inst, 10_000)
+                assert feasible(sched), inst
+                assert sched.dinner_count() == cas_par_dinner_count(inst), inst
+                checked += 1
+    assert checked == 5 * len(cells)  # one c for gamma = 1, two otherwise
 
 
-def test_cas_par_four_suppliers_split_holds_for_any_supplier_labelling(monkeypatch):
-    # hs0's two singles split the first color class; relabelling the
-    # suppliers of the leftover coloring keeps it proper and equitable, and
-    # reaches every supplier pair that class can seat.
+@pytest.mark.parametrize("s", sorted(constructions._HALF_TABLE_GRIDS))
+def test_cas_par_holds_for_any_supplier_labelling(monkeypatch, s):
+    # The suppliers are the coloring's left side; relabelling them keeps it
+    # proper and equitable, and every grid must seat any labelling's singles.
     closed_form = constructions.equitable_bipartite_coloring
-    for perm in permutations((1, 2, 3, 4)):
+    lo = ceil_div(3 * s, 2)
+    for perm in permutations(range(1, s + 1)):
         monkeypatch.setattr(
             constructions,
             "equitable_bipartite_coloring",
-            lambda a, b, k, perm=perm: [[(i, perm[j - 1]) for i, j in cls] for cls in closed_form(a, b, k)],
+            lambda a, b, k, perm=perm: [[(perm[i - 1], j) for i, j in cls] for cls in closed_form(a, b, k)],
         )
-        for c in (7, 8, 12):
-            inst = Instance(2, 4, c, 2, 1)
+        for c in (lo, lo + 1, lo + 4):
+            inst = Instance(ceil_div(s, 2), s, c, 2, 1)
             sched = build_cas_par(inst)
             assert feasible(sched), (perm, c)
             assert sched.dinner_count() == cas_par_dinner_count(inst)
+
+
+@pytest.mark.parametrize("s", range(2, 11))
+def test_half_table_rows_seat_every_pair_once_and_close_in_runs(s):
+    rows = constructions._half_table_rows(s, 10_000)
+    pairs = []
+    for row in rows:
+        assert sum(1 for cell in row if cell) <= ceil_div(s, 2)
+        assert all(len(cell) <= 2 and cell <= set(range(1, s + 1)) for cell in row)
+        pairs += [cell for cell in row if len(cell) == 2]
+    assert sorted(map(sorted, pairs)) == sorted(map(sorted, combinations(range(1, s + 1), 2)))
+    run = set()
+    for column in zip(*rows):
+        seated = [x for cell in column for x in cell]
+        assert len(seated) == len(set(seated))
+        owed = set(range(1, s + 1)) - set(seated)
+        assert run.isdisjoint(owed)
+        run |= owed
+        if run == set(range(1, s + 1)):
+            run = set()
+    assert run == set()
 
 
 def test_cas_par_two_suppliers_and_grouped_customers():
@@ -213,10 +235,6 @@ def test_cas_par_larger_supplier_pools():
 
 
 def test_cas_par_rejections():
-    with pytest.raises(ConstructionError):
-        build_cas_par(Instance(3, 5, 8, 2, 1))  # s = 5 not covered
-    with pytest.raises(ConstructionError):
-        build_cas_par(Instance(3, 6, 9, 2, 1))  # s = 6 not covered
     with pytest.raises(ConstructionError):
         build_cas_par(Instance(3, 4, 6, 2, 1))  # t != ceil(s/2)
     with pytest.raises(ConstructionError):

@@ -207,6 +207,9 @@ def test_budget_must_be_a_positive_int(bad):
     # Not a TypeError from halving the budget for the starter.
     with pytest.raises(ValueError, match="node_budget must be a positive integer"):
         best_feasible(Instance(5, 10, 8, 2, 1), bad)
+    # Checked on entry, also where the walk stops before any Howell route.
+    with pytest.raises(ValueError, match="node_budget must be a positive integer"):
+        best_feasible(Instance(4, 12, 20, 1, 3), bad)
 
 
 # (m, 2n, node budget, outcome, nodes of each restart, digest of every
